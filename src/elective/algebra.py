@@ -36,7 +36,6 @@ from .expr import (
     Add,
     Compl,
     Const,
-    Equation,
     Expr,
     Mul,
     Quot,
@@ -83,16 +82,11 @@ INDETERMINATE = Indeterminate()
 Coeff = Union[Fraction, Indeterminate, Infinite]
 
 
-def coeff_text(c: Coeff) -> str:
-    """Plain text of a coefficient: '2', '-1', '1/2', '0/0', '1/0'."""
-    return str(c)
-
-
 def coeff_factor_text(c: Coeff) -> str:
     """Coefficient text for use before '*'; specials get parentheses."""
     if isinstance(c, Fraction) and c >= 0 and c.denominator == 1:
         return str(c.numerator)
-    return f"({coeff_text(c)})"
+    return f"({c})"
 
 
 def check_symbol_list(syms) -> tuple[Symbol, ...]:
@@ -360,19 +354,3 @@ def format_linear_form(f: LinearForm) -> str:
     return " + ".join(
         f"{coeff_factor_text(v)}*{c}" for c, v in f.display_items()
     )
-
-
-def normal_form(eq: Equation, syms=None) -> tuple[Equation, LinearForm | None]:
-    """Expand-normalize an equation to (compact form) = 0.
-
-    When no symbols remain (a closed equation) the homogeneous side is
-    evaluated outright and returned as a constant equation with no form.
-    """
-    f = eq.homogeneous()
-    order = tuple(syms) if syms is not None else free_symbols(f)
-    if not order:
-        value = eval_at(f, {})
-        _require_finite(value, "closed evaluation")
-        return Equation(Const(value), ZERO), None
-    form = expand(f, order)
-    return Equation(form.to_expr(), ZERO), form

@@ -23,16 +23,15 @@ from .algebra import (
     Indeterminate,
     Infinite,
     LinearForm,
+    _require_finite,
     coeff_factor_text,
-    coeff_text,
     constituents,
     display_order,
     eval_at,
     expand,
-    normal_form,
 )
 from .errors import ElectiveError, ParseError
-from .expr import Add, Symbol, ZERO, format_expr, free_symbols, symbols
+from .expr import Add, Symbol, format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
@@ -207,7 +206,7 @@ def cmd_compare(args) -> OutputDocument:
     else:
         lines = ["NOT INTERPRETABLE"]
         lines += [
-            f"coefficient {coeff_text(v)} at {c} (condition: {c} = 0)"
+            f"coefficient {v} at {c} (condition: {c} = 0)"
             for c, v in report.offending
         ]
     payload = {
@@ -237,12 +236,15 @@ def cmd_nyaya(args) -> OutputDocument:
 def cmd_check(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     syms = _symbol_list(args.symbols, eq.free_symbols())
-    residual, form = normal_form(eq, syms or None)
-    if form is None:
-        identity = residual.lhs == ZERO
+    f = eq.homogeneous()
+    if not syms:
+        value = eval_at(f, {})
+        _require_finite(value, "closed evaluation")
+        identity = value == 0
         zeros: list = []
         satisfiable = identity
     else:
+        form = expand(f, syms)
         identity = form.is_zero()
         zeros = [c for c, v in form.display_items() if v == 0]
         satisfiable = bool(zeros)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 SYMBOL_PATTERN = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -180,31 +180,6 @@ def contains_quotient(e: Expr) -> bool:
     return False
 
 
-def substitute(e: Expr, mapping: Mapping[Symbol, ExprLike]) -> Expr:
-    """Replace symbols by expressions, rebuilding only what changes."""
-    replacements = {s: as_expr(v) for s, v in mapping.items()}
-
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Sym):
-            return replacements.get(node.symbol, node)
-        if isinstance(node, (Add, Sub, Mul, Quot)):
-            return type(node)(walk(node.left), walk(node.right))
-        if isinstance(node, Compl):
-            return Compl(walk(node.operand))
-        return node
-
-    return walk(e)
-
-
-def desugar_complements(e: Expr) -> Expr:
-    """Rewrite every complement node into the explicit form 1 - e."""
-    if isinstance(e, Compl):
-        return Sub(ONE, desugar_complements(e.operand))
-    if isinstance(e, (Add, Sub, Mul, Quot)):
-        return type(e)(desugar_complements(e.left), desugar_complements(e.right))
-    return e
-
-
 @dataclass(frozen=True)
 class Equation:
     """An ordered pair of expressions asserted equal."""
@@ -247,6 +222,9 @@ def _prec(e: Expr) -> int:
     return _PREC_ATOM
 
 
+_OP_TEXT = {Add: " + ", Sub: " - ", Mul: "*", Quot: "/"}
+
+
 def format_expr(e: Expr) -> str:
     """Render an expression in the surface grammar.
 
@@ -268,27 +246,21 @@ def format_expr(e: Expr) -> str:
             return node.symbol.name
         if isinstance(node, Compl):
             return render(node.operand, _PREC_POSTFIX) + "'"
-        if isinstance(node, (Mul, Quot)):
-            op = "*" if isinstance(node, Mul) else "/"
-            text = (
-                render(node.left, _PREC_MUL) + op + render(node.right, _PREC_MUL + 1)
-            )
-        elif isinstance(node, (Add, Sub)):
-            op = " + " if isinstance(node, Add) else " - "
-            text = render(node.left, _PREC_ADD) + op + render(node.right, _PREC_ADD + 1)
-        else:
+        if type(node) not in _OP_TEXT:
             raise TypeError(f"unknown expression node {node!r}")
+        # A left operand of the same precedence never takes parentheses, so
+        # the left spine is walked in a loop rather than recursed into: a
+        # long sum or product costs no stack depth per term.
+        spine = []
+        while _prec(node) == p:
+            spine.append(node)
+            node = node.left
+        parts = [render(node, p)]
+        for op in reversed(spine):
+            parts += (_OP_TEXT[type(op)], render(op.right, p + 1))
+        text = "".join(parts)
         if p < min_prec:
             return f"({text})"
         return text
 
     return render(e, _PREC_ADD)
-
-
-def merge_symbol_orders(orders: Iterable[Iterable[Symbol]]) -> tuple[Symbol, ...]:
-    """First-occurrence merge of several ordered symbol lists."""
-    seen: dict[Symbol, None] = {}
-    for order in orders:
-        for s in order:
-            seen.setdefault(s)
-    return tuple(seen)

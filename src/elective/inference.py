@@ -2,8 +2,8 @@
 
 An equation f = 0 that is division-free is linear in any unknown w once
 symbols are idempotent: f = a*w + b*w' with a = f[w:=1] and b = f[w:=0].
-Solving formally gives w = b / (b - a); developing that quotient over the
-remaining symbols and reading each coefficient yields the class:
+Solving formally gives w = b / (b - a); reading that quotient at each
+constituent of the remaining symbols yields the class:
 
     1    the constituent is part of w
     0    the constituent is excluded from w
@@ -16,21 +16,25 @@ f[w:=1] * f[w:=0] = 0, which holds exactly when some value of w satisfies
 the original equation.  Several premises combine into one equation as the
 sum of their squares, which vanishes pointwise exactly where every
 premise does.
+
+Both steps are coefficientwise on the developed form of f: a and b are
+the coefficients at the two constituents that differ only in w.  Each
+public call develops its input once and renders an Expr only for its
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     Constituent,
-    Indeterminate,
     LinearForm,
     check_symbol_list,
+    constituents,
     display_order,
+    eval_at,
     expand,
-    normal_form,
 )
 from .errors import (
     EmptyPremises,
@@ -40,17 +44,14 @@ from .errors import (
 )
 from .expr import (
     Add,
+    Const,
     Equation,
     Expr,
     Mul,
-    ONE,
-    Quot,
-    Sub,
     Sym,
     Symbol,
     ZERO,
     contains_quotient,
-    substitute,
 )
 
 
@@ -115,28 +116,90 @@ def _in_display_order(group) -> tuple[Constituent, ...]:
     return display_order(tuple(group))
 
 
-def equation_symbols(eq: Equation) -> tuple[Symbol, ...]:
-    return eq.free_symbols()
-
-
 def _division_free(f: Expr, what: str) -> None:
     if contains_quotient(f):
         raise UninterpretableNesting(f"{what} must be division-free")
+
+
+def _split(form: LinearForm, s: Symbol):
+    """Split a form at s into a = f[s:=1] and b = f[s:=0].
+
+    Both come back as coefficient lists over the other symbols, in their
+    ascending mask order: entry m pairs the two masks that agree with m
+    everywhere off s, with the bit of s set (a) and clear (b).
+    """
+    i = form.symbols.index(s)
+    rest = form.symbols[:i] + form.symbols[i + 1 :]
+    clear = [m + (m >> i << i) for m in range(len(form.coeffs) >> 1)]
+    c = form.coeffs
+    return rest, [c[m | 1 << i] for m in clear], [c[m] for m in clear]
+
+
+def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
+    """The residual a*b of f = a*drop + b*drop', coefficient by coefficient."""
+    rest, a, b = _split(form, drop)
+    return LinearForm(rest, tuple(p * q for p, q in zip(a, b)))
+
+
+def _result(form: LinearForm) -> EliminationResult:
+    """Render a residual; a form over no symbols holds a constant."""
+    if not form.symbols:
+        return EliminationResult(Equation(Const(form.coeffs[0]), ZERO), None)
+    return EliminationResult(Equation(form.to_expr(), ZERO), form)
+
+
+def _check_unknown(unknown: Symbol, named, shown) -> None:
+    """The unknown must be named, and no named symbol may be a v-name.
+
+    shown() gives the equation for the error message.
+    """
+    if unknown not in named:
+        raise SymbolNotPresent(f"unknown {unknown} does not occur in {shown()}")
+    reserved = [s for s in named if s.is_reserved]
+    if reserved:
+        raise NameCollision(
+            f"symbols {[s.name for s in reserved]} are reserved for "
+            "generated indeterminate classes (v1, v2, ...)"
+        )
+
+
+def _solved(form: LinearForm, unknown: Symbol) -> SolvedClass:
+    """Read w = b / (b - a) at every constituent of the other symbols."""
+    rest, a, b = _split(form, unknown)
+    included = []
+    excluded = []
+    indeterminate = []
+    side = []
+    # ascending mask order fixes the v-numbering
+    for c, am, bm in zip(constituents(rest), a, b):
+        if am == bm == 0:  # 0/0
+            indeterminate.append((Symbol(f"v{len(indeterminate) + 1}"), c))
+        elif am == 0:  # b/b
+            included.append(c)
+        elif bm == 0:  # 0/(-a)
+            excluded.append(c)
+        else:  # k/0, or b/(b - a) outside {0, 1}
+            side.append(c)
+    return SolvedClass(
+        unknown=unknown,
+        free_symbols=rest,
+        included=frozenset(included),
+        indeterminate=tuple(indeterminate),
+        side_conditions=frozenset(side),
+        excluded=frozenset(excluded),
+    )
 
 
 def eliminate(eq: Equation, drop: Symbol) -> EliminationResult:
     """Remove one symbol from f = 0 via the residual f[1] * f[0] = 0."""
     if isinstance(drop, str):
         drop = Symbol(drop)
-    syms = equation_symbols(eq)
+    syms = eq.free_symbols()
     if drop not in syms:
         raise SymbolNotPresent(f"symbol {drop} does not occur in {eq}")
     f = eq.homogeneous()
     _division_free(f, "elimination input")
-    product = Mul(substitute(f, {drop: ONE}), substitute(f, {drop: ZERO}))
-    remaining = tuple(s for s in syms if s != drop)
-    residual, form = normal_form(Equation(product, ZERO), remaining or None)
-    return EliminationResult(residual, form)
+    return _result(_eliminated(expand(f, syms), drop))
 
 
 def combine_premises(premises) -> Equation:
@@ -164,10 +227,11 @@ def combine_premises(premises) -> Equation:
 def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
     """Solve a division-free equation for one unknown class.
 
-    Forms the quotient w = b / (b - a) with a = f[w:=1], b = f[w:=0],
-    develops it over the remaining symbols, and interprets each
-    coefficient (1 included, 0 excluded, 0/0 indeterminate, anything
-    else a side condition).
+    Develops f over the remaining symbols and the unknown, pairs
+    a = f[w:=1] with b = f[w:=0] at each constituent of the remaining
+    symbols, and reads the coefficient of w = b / (b - a) there (1
+    included, 0 excluded, 0/0 indeterminate, anything else a side
+    condition).
 
     syms, when given, fixes the ordered remaining-symbol list; it must
     cover the equation's free symbols apart from the unknown.  Otherwise
@@ -175,19 +239,12 @@ def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
     """
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
-    all_syms = equation_symbols(eq)
-    if unknown not in all_syms:
-        raise SymbolNotPresent(f"unknown {unknown} does not occur in {eq}")
-    reserved = [s for s in all_syms if s.is_reserved]
-    if reserved:
-        raise NameCollision(
-            f"symbols {[s.name for s in reserved]} are reserved for "
-            "generated indeterminate classes (v1, v2, ...)"
-        )
+    all_syms = eq.free_symbols()
+    _check_unknown(unknown, all_syms, lambda: eq)
     f = eq.homogeneous()
     _division_free(f, "solver input")
     if syms is None:
-        remaining = tuple(s for s in all_syms if s != unknown)
+        remaining = check_symbol_list(s for s in all_syms if s != unknown)
     else:
         remaining = check_symbol_list(syms)
         if unknown in remaining:
@@ -202,49 +259,40 @@ def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
             )
         if any(s.is_reserved for s in remaining):
             raise NameCollision("requested symbol list uses reserved v-names")
-    a = substitute(f, {unknown: ONE})
-    b = substitute(f, {unknown: ZERO})
-    form = expand(Quot(b, Sub(b, a)), remaining)
-
-    included = []
-    excluded = []
-    indeterminate = []
-    side = []
-    for c, v in form.items():  # ascending mask order fixes the v-numbering
-        if isinstance(v, Indeterminate):
-            indeterminate.append((Symbol(f"v{len(indeterminate) + 1}"), c))
-        elif isinstance(v, Fraction) and v == 1:
-            included.append(c)
-        elif isinstance(v, Fraction) and v == 0:
-            excluded.append(c)
-        else:
-            side.append(c)
-    return SolvedClass(
-        unknown=unknown,
-        free_symbols=remaining,
-        included=frozenset(included),
-        indeterminate=tuple(indeterminate),
-        side_conditions=frozenset(side),
-        excluded=frozenset(excluded),
-    )
+    return _solved(expand(f, remaining + (unknown,)), unknown)
 
 
 def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     """Combine premises, eliminate middle terms, optionally solve.
 
     Returns the final EliminationResult, or a SolvedClass when
-    conclude_for is given.  Elimination proceeds left to right through
-    drop; with an empty drop list the combined equation is just
+    conclude_for is given.  The combined premises are developed once;
+    elimination proceeds left to right through drop on that development.
+    With an empty drop list the combined equation is just
     expand-normalized.
+
+    Each step sees the symbols its rendered input names, so after a
+    residual that vanishes identically (0 = 0) no symbol is left to drop
+    or solve for.
     """
     eq = combine_premises(premises)
-    result = None
+    named = eq.free_symbols()
+    f = eq.homogeneous()
+    form = expand(f, named) if named else LinearForm((), (eval_at(f, {}),))
+
+    def shown():  # eq is None once a residual replaced it, rendered on demand
+        return eq or _result(form).residual
+
     for d in drop:
-        result = eliminate(eq, d)
-        eq = result.residual
-    if conclude_for is not None:
-        return solve_for(eq, conclude_for)
-    if result is None:
-        residual, form = normal_form(eq, equation_symbols(eq) or None)
-        result = EliminationResult(residual, form)
-    return result
+        if isinstance(d, str):
+            d = Symbol(d)
+        if d not in named:
+            raise SymbolNotPresent(f"symbol {d} does not occur in {shown()}")
+        form, eq = _eliminated(form, d), None
+        named = () if form.is_zero() else form.symbols
+    if conclude_for is None:
+        return _result(form)
+    if isinstance(conclude_for, str):
+        conclude_for = Symbol(conclude_for)
+    _check_unknown(conclude_for, named, shown)
+    return _solved(form, conclude_for)

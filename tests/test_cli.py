@@ -204,6 +204,29 @@ def test_expand_terminal_value_feeding_arithmetic_exits_2(capsys):
     assert "terminal" in err
 
 
+def test_check_quotient_exits_2(capsys):
+    code, _, err = invoke(capsys, "check", "y/x = 0")
+    assert code == 2
+    code, _, err = invoke(capsys, "check", "1/0 = 0")
+    assert code == 2
+    assert "closed evaluation" in err
+
+
+def test_syllogism_large_residual_renders():
+    # the 12-premise ring minus s0 leaves a residual of 2 046 terms
+    ring = []
+    for i in range(12):
+        ring += ["-p", f"s{i}*s{(i + 1) % 12}' = 0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "elective", "syllogism", *ring, "--drop", "s0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.endswith(" = 0\n")
+
+
 def test_solve_max_universe_cap(capsys):
     code, _, err = invoke(
         capsys, "solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "9"

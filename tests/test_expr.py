@@ -1,4 +1,4 @@
-"""Expression tree basics: symbols, substitution, rendering."""
+"""Expression tree basics: symbols, rendering."""
 
 import pytest
 
@@ -14,10 +14,8 @@ from elective import (
     Sym,
     Symbol,
     ZERO,
-    desugar_complements,
     format_expr,
     free_symbols,
-    substitute,
     symbols,
 )
 
@@ -42,18 +40,6 @@ def test_free_symbols_first_occurrence_order():
     e = Add(Mul(Sym(y), Sym(x)), Compl(Sym(z)))
     assert free_symbols(e) == (y, x, z)
     assert free_symbols(Const(3)) == ()
-
-
-def test_substitute_rebuilds():
-    e = Mul(Sym(x), Add(Sym(y), ONE))
-    out = substitute(e, {x: ZERO})
-    assert out == Mul(ZERO, Add(Sym(y), ONE))
-    assert substitute(e, {}) == e
-
-
-def test_desugar_complements():
-    e = Compl(Compl(Sym(x)))
-    assert desugar_complements(e) == Sub(ONE, Sub(ONE, Sym(x)))
 
 
 def test_operator_sugar():

@@ -17,6 +17,7 @@ from elective import (
     Sub,
     Sym,
     Symbol,
+    SymbolLimitExceeded,
     SymbolNotPresent,
     UninterpretableNesting,
     Universe,
@@ -31,9 +32,10 @@ from elective import (
     parse_equation,
     solve_for,
     syllogism,
+    symbols,
     verify_solved,
 )
-from helpers import XYZW, random_interpretable_expr
+from helpers import XYZW, oracle_vertex_value, random_expr, random_interpretable_expr
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)
@@ -332,3 +334,141 @@ def test_elimination_exactness_random():
             for assignment in assignments(Universe(m), syms):
                 solvable = bool(enumerate_solutions(eq, w, assignment))
                 assert holds(residual, assignment) == solvable
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against the oracle's pointwise values
+# ---------------------------------------------------------------------------
+
+
+def _vertex(order, mask):
+    return {s: mask >> i & 1 for i, s in enumerate(order)}
+
+
+def _satisfiable(zero, order, kept, hidden, point):
+    """Can the hidden symbols be chosen so that every premise vanishes?
+
+    zero[m] says whether every premise vanishes at the vertex m of order;
+    point is a mask over kept.
+    """
+    base = sum(1 << order.index(s) for i, s in enumerate(kept) if point >> i & 1)
+    bits = [1 << order.index(s) for s in hidden]
+    return any(
+        zero[base + sum(b for j, b in enumerate(bits) if h >> j & 1)]
+        for h in range(1 << len(bits))
+    )
+
+
+def _oracle_zero_table(premises, order):
+    return [
+        all(
+            oracle_vertex_value(p.homogeneous(), _vertex(order, m)) == 0
+            for p in premises
+        )
+        for m in range(1 << len(order))
+    ]
+
+
+def _check_residual_against_oracle(premises, drops):
+    order = combine_premises(premises).free_symbols()
+    zero = _oracle_zero_table(premises, order)
+    kept = tuple(s for s in order if s not in drops)
+
+    def vanishes(k):  # the residual after the first k drops is 0 everywhere
+        rest = tuple(s for s in order if s not in drops[:k])
+        return all(
+            _satisfiable(zero, order, rest, drops[:k], m)
+            for m in range(1 << len(rest))
+        )
+
+    if any(vanishes(k) for k in range(1, len(drops))):
+        with pytest.raises(SymbolNotPresent, match=r"does not occur in 0 = 0"):
+            syllogism(premises, drops)
+        return
+    result = syllogism(premises, drops)
+    if not kept:
+        assert result.form is None
+        assert (result.residual.lhs == ZERO) == _satisfiable(zero, order, (), drops, 0)
+        return
+    assert result.form.symbols == kept
+    for m, v in enumerate(result.form.coeffs):
+        assert (v == 0) == _satisfiable(zero, order, kept, drops, m)
+
+
+def _oracle_reading(eq, unknown, rest, m):
+    vertex = _vertex(rest, m)
+    a = oracle_vertex_value(eq.homogeneous(), {**vertex, unknown: 1})
+    b = oracle_vertex_value(eq.homogeneous(), {**vertex, unknown: 0})
+    if b - a == 0:
+        return "indeterminate" if b == 0 else "side"
+    q = b / (b - a)
+    return {1: "included", 0: "excluded"}.get(q, "side")
+
+
+def test_residuals_and_solutions_match_oracle_random():
+    rng = random.Random(1854)
+    pool = symbols("x y z w u t")
+    for _ in range(1000):
+        syms = tuple(rng.sample(pool, rng.randint(1, 6)))
+        premises = [
+            Equation(random_expr(rng, syms, depth=3), ZERO)
+            for _ in range(rng.randint(1, 3))
+        ]
+        eq = combine_premises(premises)
+        order = eq.free_symbols()
+        drops = tuple(rng.sample(order, rng.randint(0, min(3, len(order)))))
+        _check_residual_against_oracle(premises, drops)
+
+        if len(order) < 2:
+            continue
+        unknown = rng.choice(order)
+        sol = solve_for(eq, unknown)
+        assert syllogism(premises, (), unknown) == sol
+        rest = sol.free_symbols
+        assert rest == tuple(s for s in order if s != unknown)
+        groups = {
+            "included": {c.mask for c in sol.included},
+            "excluded": {c.mask for c in sol.excluded},
+            "side": {c.mask for c in sol.side_conditions},
+            "indeterminate": {c.mask for _, c in sol.indeterminate},
+        }
+        for m in range(1 << len(rest)):
+            assert m in groups[_oracle_reading(eq, unknown, rest, m)]
+        assert [c.mask for _, c in sol.indeterminate] == sorted(
+            groups["indeterminate"]
+        )
+
+
+@pytest.mark.parametrize("n, k", [(11, 2), (12, 3)])
+def test_ring_syllogism_matches_oracle(n, k):
+    # s0 -> s1 -> ... -> s(n-1) -> s0: every premise is s_i*s_(i+1)' = 0
+    ring = [parse_equation(f"s{i}*s{(i + 1) % n}' = 0") for i in range(n)]
+    drops = symbols(" ".join(f"s{i}" for i in range(k)))
+    _check_residual_against_oracle(ring, drops)
+
+
+def test_vanished_residual_names_no_symbol():
+    # dropping x from x*y' = 0 leaves a residual that is 0 everywhere; it
+    # renders as 0 = 0, so y is no longer there to drop or solve for
+    premises = [parse_equation("x*y' = 0")]
+    result = syllogism(premises, (x,))
+    assert str(result.residual) == "0 = 0"
+    assert result.form.symbols == (y,) and result.form.is_zero()
+    with pytest.raises(SymbolNotPresent, match=r"^symbol y does not occur in 0 = 0$"):
+        syllogism(premises, (x, y))
+    with pytest.raises(SymbolNotPresent, match=r"^unknown y does not occur in 0 = 0$"):
+        syllogism(premises, (x,), y)
+
+
+def test_basis_over_the_cap_is_refused_up_front():
+    many = symbols(" ".join(f"s{i}" for i in range(21)))
+    total = Sym(many[0])
+    for s in many[1:]:
+        total = Add(total, Sym(s))
+    with pytest.raises(SymbolLimitExceeded):
+        eliminate(Equation(total, ZERO), many[0])
+    with pytest.raises(SymbolLimitExceeded):
+        syllogism([Equation(total, ZERO)], many[:1])
+    # solving counts the unknown: here 20 remaining symbols plus s0
+    with pytest.raises(SymbolLimitExceeded, match="21 symbols"):
+        solve_for(Equation(total, ZERO), many[0])
