@@ -8,8 +8,8 @@ to 1, so every expression develops uniquely into
     f  =  sum over constituents C of  f(vertex of C) * C
 
 where the vertex of C assigns 1 to each plain factor and 0 to each
-complemented one.  This module computes that development by direct
-pointwise evaluation at the 0/1 vertices, which makes the index law
+complemented one.  This module computes that development by evaluating
+the tree once at all 2**n vertices together, which makes the index law
 (x**n = x), distributivity and commutativity hold by construction.
 
 Coefficients are exact rationals (fractions.Fraction).  Developing a
@@ -20,8 +20,10 @@ developed form but never feed further arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -43,6 +45,7 @@ from .expr import (
     Sym,
     Symbol,
     ZERO,
+    _postorder,
     free_symbols,
 )
 
@@ -169,38 +172,68 @@ def eval_at(e: Expr, vertex: Mapping[Symbol, int]) -> Coeff:
     UninterpretableNesting is raised.
     """
 
-    def ev(node: Expr) -> Coeff:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Sym):
-            try:
-                return Fraction(vertex[node.symbol])
-            except KeyError:
-                raise SymbolNotPresent(
-                    f"vertex does not assign symbol {node.symbol}"
-                ) from None
-        if isinstance(node, Compl):
-            v = ev(node.operand)
-            _require_finite(v, "complement")
-            return 1 - v
-        left = ev(node.left)
-        right = ev(node.right)
-        if isinstance(node, Quot):
-            _require_finite(left, "quotient numerator")
-            _require_finite(right, "quotient denominator")
-            if right == 0:
-                return INDETERMINATE if left == 0 else Infinite(left)
-            return left / right
-        op = {Add: "sum", Sub: "difference", Mul: "product"}[type(node)]
-        _require_finite(left, op)
-        _require_finite(right, op)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        return left * right
+    def value(s: Symbol) -> list:
+        try:
+            return [vertex[s]]
+        except KeyError:
+            raise SymbolNotPresent(f"vertex does not assign symbol {s}") from None
 
-    return ev(e)
+    values, extended, failed = _evaluate(e, 1, value)
+    if failed:
+        _require_finite(*failed[0])
+    return extended[0] if extended else Fraction(values[0])
+
+
+# The context in which an extended left (and right) operand fails.
+_CONTEXTS = {
+    Compl: ("complement",),
+    Add: ("sum", "sum"),
+    Sub: ("difference", "difference"),
+    Mul: ("product", "product"),
+    Quot: ("quotient numerator", "quotient denominator"),
+}
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _evaluate(e: Expr, width: int, value) -> tuple[list, dict, dict]:
+    """The values of e at `width` points, in one post-order pass.
+
+    value(s) gives symbol s's values.  A node's value is a list with one
+    int or Fraction per point, holding 0 where the node takes an extended
+    value; those are kept aside by point.  An extended operand fails its
+    point, which keeps its first failure as (value, context) for
+    _require_finite.  Returns the root's values, its extended values and
+    the failures, early once every point has failed.
+    """
+    stack: list[tuple[list, dict]] = []
+    failed: dict[int, tuple[Coeff, str]] = {}
+    for node in _postorder(e):
+        kind = type(node)
+        if kind is Sym:
+            stack.append((value(node.symbol), {}))
+            continue
+        if kind is Const:
+            v = node.value
+            stack.append(([v.numerator if v.denominator == 1 else v] * width, {}))
+            continue
+        operands = [stack.pop()] if kind is Compl else [stack.pop(-2), stack.pop()]
+        for (_, ext), context in zip(operands, _CONTEXTS[kind]):
+            for p, x in ext.items():
+                failed.setdefault(p, (x, context))
+        if len(failed) == width:
+            return [], {}, failed
+        a, b = operands[0][0], operands[-1][0]
+        ext = {}
+        if kind is Compl:
+            values = list(map(operator.sub, repeat(1), a))
+        elif kind is Quot:
+            values = [Fraction(x, y) if y else 0 for x, y in zip(a, b)]
+            zeros = [p for p, y in enumerate(b) if not y]
+            ext = {p: INDETERMINATE if a[p] == 0 else Infinite(a[p]) for p in zeros}
+        else:
+            values = list(map(_ARITHMETIC[kind], a, b))
+        stack.append((values, ext))
+    return stack[-1][0], stack[-1][1], failed
 
 
 def _require_finite(v: Coeff, context: str) -> None:
@@ -322,9 +355,10 @@ def expand(e: Expr, syms) -> LinearForm:
     """Develop an expression over an ordered symbol list.
 
     The coefficient at each constituent is the pointwise evaluation of e
-    at that constituent's vertex.  Evaluation failures (extended values
-    feeding further arithmetic) are aggregated and reported with the
-    offending constituents.
+    at that constituent's vertex; one pass over the tree evaluates all
+    2**n vertices at once.  Evaluation failures (extended values feeding
+    further arithmetic) are aggregated and reported with the offending
+    constituents.
     """
     order = check_symbol_list(syms)
     missing = [s for s in free_symbols(e) if s not in order]
@@ -333,19 +367,25 @@ def expand(e: Expr, syms) -> LinearForm:
             f"symbols {[s.name for s in missing]} occur in the expression "
             f"but not in {[s.name for s in order]}"
         )
-    coeffs = []
-    failures = []
-    for c in constituents(order):
+    width = 1 << len(order)
+
+    def value(s: Symbol) -> list:
+        run = 1 << order.index(s)  # bit i of the mask is symbol i
+        return ([0] * run + [1] * run) * (width // (2 * run))
+
+    values, extended, failed = _evaluate(e, width, value)
+    if failed:
+        bad = tuple(Constituent(order, m) for m in sorted(failed))
         try:
-            coeffs.append(eval_at(e, c.vertex()))
+            _require_finite(*failed[bad[0].mask])
         except UninterpretableNesting as err:
-            failures.append((c, err))
-    if failures:
-        where = ", ".join(str(c) for c, _ in failures)
-        raise UninterpretableNesting(
-            f"development failed at {where}: {failures[0][1]}",
-            constituents=tuple(c for c, _ in failures),
-        )
+            where = ", ".join(map(str, bad))
+            raise UninterpretableNesting(
+                f"development failed at {where}: {err}", constituents=bad
+            ) from None
+    coeffs = list(map(Fraction, values))
+    for m, x in extended.items():
+        coeffs[m] = x
     return LinearForm(order, tuple(coeffs))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 SYMBOL_PATTERN = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -153,31 +153,32 @@ def as_expr(value: ExprLike) -> Expr:
     raise TypeError(f"cannot treat {value!r} as an expression")
 
 
+def _postorder(e: Expr) -> Iterator[Expr]:
+    """Every node of e, children before parents and left before right.
+
+    The walk keeps its own stack, so a deep tree costs no interpreter
+    stack: the reverse of a root-first walk that takes right before left
+    is exactly the post-order.
+    """
+    order, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Compl:
+            stack.append(node.operand)
+        elif kind in (Add, Sub, Mul, Quot):
+            stack += (node.left, node.right)
+    return reversed(order)
+
+
 def free_symbols(e: Expr) -> tuple[Symbol, ...]:
     """All symbols of e, in first-occurrence (leftmost) order."""
-    seen: dict[Symbol, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Sym):
-            seen.setdefault(node.symbol)
-        elif isinstance(node, (Add, Sub, Mul, Quot)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Compl):
-            walk(node.operand)
-
-    walk(e)
-    return tuple(seen)
+    return tuple(dict.fromkeys(n.symbol for n in _postorder(e) if type(n) is Sym))
 
 
 def contains_quotient(e: Expr) -> bool:
-    if isinstance(e, Quot):
-        return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return contains_quotient(e.left) or contains_quotient(e.right)
-    if isinstance(e, Compl):
-        return contains_quotient(e.operand)
-    return False
+    return any(type(n) is Quot for n in _postorder(e))
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,7 @@ class Equation:
         return Sub(self.lhs, self.rhs)
 
     def free_symbols(self) -> tuple[Symbol, ...]:
-        seen: dict[Symbol, None] = {}
-        for s in free_symbols(self.lhs):
-            seen.setdefault(s)
-        for s in free_symbols(self.rhs):
-            seen.setdefault(s)
-        return tuple(seen)
+        return free_symbols(Sub(self.lhs, self.rhs))
 
     def __str__(self) -> str:
         return f"{format_expr(self.lhs)} = {format_expr(self.rhs)}"
@@ -245,7 +241,10 @@ def format_expr(e: Expr) -> str:
         if isinstance(node, Sym):
             return node.symbol.name
         if isinstance(node, Compl):
-            return render(node.operand, _PREC_POSTFIX) + "'"
+            primes = 0
+            while isinstance(node, Compl):
+                node, primes = node.operand, primes + 1
+            return render(node, _PREC_POSTFIX) + "'" * primes
         if type(node) not in _OP_TEXT:
             raise TypeError(f"unknown expression node {node!r}")
         # A left operand of the same precedence never takes parentheses, so

@@ -14,6 +14,7 @@ original division-free equation instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,7 @@ from typing import Iterator, Mapping
 
 from .errors import QuotientInOracle, SymbolNotPresent, UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
+from .expr import _postorder
 from .algebra import Constituent
 from .inference import SolvedClass
 
@@ -82,32 +84,31 @@ class SetAssignment:
         return "; ".join(parts)
 
 
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
 def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
     """Evaluate a division-free expression at one element, exactly."""
     if element >= assignment.universe.size:
         raise ValueError(f"element {element} outside the universe")
 
-    def ev(node: Expr) -> Fraction:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Sym):
-            return Fraction(assignment.subset(node.symbol) >> element & 1)
-        if isinstance(node, Compl):
-            return 1 - ev(node.operand)
-        if isinstance(node, Quot):
-            raise QuotientInOracle(
-                "formal division has no pointwise set meaning"
-            )
-        left, right = ev(node.left), ev(node.right)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        if isinstance(node, Mul):
-            return left * right
-        raise TypeError(f"unknown expression node {node!r}")
-
-    return ev(e)
+    # Exact ints inside, far cheaper than Fractions; a Fraction comes out.
+    stack: list = []
+    for node in _postorder(e):
+        kind = type(node)
+        if kind is Sym:
+            stack.append(assignment.subset(node.symbol) >> element & 1)
+        elif kind is Const:
+            v = node.value
+            stack.append(v.numerator if v.denominator == 1 else v)
+        elif kind is Compl:
+            stack.append(1 - stack.pop())
+        elif kind is Quot:
+            raise QuotientInOracle("formal division has no pointwise set meaning")
+        else:
+            right = stack.pop()
+            stack.append(_ARITHMETIC[kind](stack.pop(), right))
+    return Fraction(stack[0])
 
 
 def holds(eq: Equation, assignment: SetAssignment) -> bool:

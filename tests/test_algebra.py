@@ -27,6 +27,7 @@ from elective import (
     UninterpretableNesting,
     ZERO,
     constituents,
+    contains_quotient,
     eval_at,
     expand,
     format_linear_form,
@@ -270,14 +271,39 @@ def test_difference_square_identity():
     assert expand(square, [x, y]) == expand(expected, [x, y])
 
 
+def _vertex_failures(e):
+    """(constituent, error) wherever eval_at fails, ascending mask."""
+    failures = []
+    for c in constituents(XYZW):
+        try:
+            eval_at(e, c.vertex())
+        except UninterpretableNesting as err:
+            failures.append((c, err))
+    return failures
+
+
 def test_expansion_soundness_random():
+    # expand develops every vertex in one pass; eval_at evaluates one
+    # vertex, and the set oracle evaluates division-free trees on its own
     rng = random.Random(1854)
-    for _ in range(300):
-        e = random_expr(rng, XYZW, depth=6)
-        form = expand(e, XYZW)
+    failed_developments = 0
+    for allow_quot in [False] * 300 + [True] * 300:
+        e = random_expr(rng, XYZW, depth=6, allow_quot=allow_quot)
+        try:
+            form = expand(e, XYZW)
+        except UninterpretableNesting as err:
+            failures = _vertex_failures(e)
+            assert err.constituents == tuple(c for c, _ in failures)
+            assert str(err).endswith(f": {failures[0][1]}")
+            failed_developments += 1
+            continue
+        assert not _vertex_failures(e)
         for c, v in form.items():
-            assert v == eval_at(e, c.vertex())
-            assert v == oracle_vertex_value(e, c.vertex())
+            at_vertex = eval_at(e, c.vertex())
+            assert v == at_vertex and type(v) is type(at_vertex)
+            if not contains_quotient(e):
+                assert v == oracle_vertex_value(e, c.vertex())
+    assert failed_developments > 0
 
 
 _expr_leaves = st.one_of(

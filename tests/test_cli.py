@@ -1,6 +1,7 @@
 """Command-line behavior: output layouts, exit codes, JSON schema."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -225,6 +226,54 @@ def test_syllogism_large_residual_renders():
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout.endswith(" = 0\n")
+
+
+@pytest.mark.parametrize(
+    "expression, development",
+    [
+        ("*".join(["x"] * 3000), "1*x\n0*x'\ninterpretable"),
+        ("x" + "'" * 3000, "1*x\n0*x'\ninterpretable"),
+        (" + ".join(["x"] * 3000), "3000*x\n0*x'\nNOT INTERPRETABLE"),
+    ],
+    ids=["product", "primes", "sum"],
+)
+def test_expand_chain_deeper_than_the_stack(capsys, expression, development):
+    code, out, err = invoke(capsys, "expand", expression)
+    assert (code, out, err) == (0, development + "\n", "")
+
+
+def test_check_long_sum_through_the_oracle(capsys):
+    total = " + ".join(["x"] * 1500)
+    code, out, _ = invoke(capsys, "check", f"{total} = 1500x", "--max-universe", "2")
+    assert code == 0
+    assert out.endswith("oracle: confirmed on universes 0..2\n")
+
+
+def _fuzz_texts():
+    rng = random.Random(1854)
+    texts = [
+        "".join(rng.choice("xyz0123'+-*/()= ") for _ in range(rng.randint(0, 9)))
+        for _ in range(100)
+    ]
+    chains = [op.join(["x"] * 1200) for op in ("+", "-", "*", "/", " ")]
+    for chain in chains + ["x" + "'" * 1200]:
+        texts += [chain, f"{chain} = x", f"x = {chain}"]
+    for depth in (150, 250):
+        texts.append("(x + " * depth + "y" + ")" * depth + " = x")
+    return texts
+
+
+def test_fuzz_ends_in_an_exit_code(capsys):
+    # random text and deep chains end in an exit code, never a traceback
+    for text in _fuzz_texts():
+        for argv in (
+            ["expand", text],
+            ["compare", text],
+            ["solve", text, "--for", "x"],
+            ["check", text, "--max-universe", "2"],
+        ):
+            assert main(argv) in (0, 1, 2, 3), argv
+    capsys.readouterr()
 
 
 def test_solve_max_universe_cap(capsys):

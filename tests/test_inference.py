@@ -25,6 +25,7 @@ from elective import (
     assignments,
     combine_premises,
     constituents,
+    contains_quotient,
     eliminate,
     enumerate_solutions,
     expand,
@@ -472,3 +473,18 @@ def test_basis_over_the_cap_is_refused_up_front():
     # solving counts the unknown: here 20 remaining symbols plus s0
     with pytest.raises(SymbolLimitExceeded, match="21 symbols"):
         solve_for(Equation(total, ZERO), many[0])
+
+
+def test_deep_sum_equation_needs_no_recursion():
+    # a left-nested sum of 3000 terms is deeper than the interpreter stack,
+    # like a large residual fed to a further eliminate or solve
+    lhs = Mul(Sym(x), Sym(w))
+    for _ in range(2999):
+        lhs = Add(lhs, Mul(Sym(x), Sym(w)))
+    eq = Equation(lhs, Sym(y))
+    assert eq.free_symbols() == (x, w, y)
+    assert not contains_quotient(eq.lhs)
+    form = expand(eq.homogeneous(), (x, w, y))
+    assert form.coeff(0b011) == 3000 and form.coeff(0b111) == 2999
+    assert str(eliminate(eq, w).residual) == "(-2999)*x*y + x'*y = 0"
+    assert str(solve_for(eq, w)) == "w = v1*x'*y'  where x*y = 0, x'*y = 0"
