@@ -35,7 +35,7 @@ from .expr import Add, Symbol, format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
-from .oracle import Universe, assignments, holds, verify_solved
+from .oracle import check_equation, verify_solved
 from .parsing import parse_equation, parse_expression
 
 # Full expansion of the constituent sum is quadratic in 2**n; above this
@@ -249,24 +249,18 @@ def cmd_check(args) -> OutputDocument:
         zeros = [c for c, v in form.display_items() if v == 0]
         satisfiable = bool(zeros)
 
-    failure = None  # first assignment on which the equation fails
-    for m in range(0, args.max_universe + 1):
-        for a in assignments(Universe(m), syms):
-            if not holds(eq, a):
-                failure = f"universe size {m}" + (
-                    f"; {a.describe()}" if a.subsets else ""
-                )
-                break
-        if failure:
-            break
+    model = check_equation(eq, syms, args.max_universe)
+    counterexample = None  # the first model on which the equation fails
+    if model is not None:
+        counterexample = f"universe size {model.universe.size}" + (
+            f"; {model.describe()}" if model.subsets else ""
+        )
     if identity:
-        confirmed = failure is None
-        counterexample = failure
+        confirmed = counterexample is None
     else:
         # A non-identity must fail somewhere once a non-empty universe is in
         # range; not finding a failure would mean algebra and oracle disagree.
-        counterexample = failure
-        confirmed = failure is not None or args.max_universe < 1
+        confirmed = counterexample is not None or args.max_universe < 1
 
     lines = [f"identity: {'yes' if identity else 'no'}"]
     if not identity and counterexample:

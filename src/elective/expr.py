@@ -87,8 +87,68 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
+    # Structural equality, hashing and repr walk the tree with their own
+    # stack, so a 3000-term sum compares, hashes and prints like a short one.
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is Compl:
+                pairs.append((a.operand, b.operand))
+            elif kind in (Add, Sub, Mul, Quot):
+                pairs += ((a.right, b.right), (a.left, b.left))
+            elif kind is Const:
+                if a.value != b.value:
+                    return False
+            elif a.symbol != b.symbol:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: list[int] = []
+        for node in _postorder(self):
+            kind = type(node)
+            if kind is Const:
+                hashes.append(hash((kind, node.value)))
+            elif kind is Sym:
+                hashes.append(hash((kind, node.symbol)))
+            elif kind is Compl:
+                hashes.append(hash((kind, hashes.pop())))
+            else:
+                right = hashes.pop()
+                hashes.append(hash((kind, hashes.pop(), right)))
+        return hashes[0]
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            kind = type(item)
+            if kind is str:
+                parts.append(item)
+            elif kind is Const:
+                parts.append(f"Const(value={item.value!r})")
+            elif kind is Sym:
+                parts.append(f"Sym(symbol={item.symbol!r})")
+            elif kind is Compl:
+                parts.append("Compl(operand=")
+                todo += (")", item.operand)
+            else:
+                parts.append(f"{kind.__name__}(left=")
+                todo += (")", item.right, ", right=", item.left)
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: Fraction
 
@@ -97,7 +157,7 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sym(Expr):
     symbol: Symbol
 
@@ -106,25 +166,25 @@ class Sym(Expr):
             object.__setattr__(self, "symbol", Symbol(self.symbol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Quot(Expr):
     """Formal division.  Only meaningful through development (see expand)."""
 
@@ -132,7 +192,7 @@ class Quot(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compl(Expr):
     """Postfix complement: Compl(e) stands for 1 - e."""
 

@@ -1,11 +1,21 @@
 """Brute-force set semantics: the independent ground truth.
 
 Everything here works on explicit finite universes {0, ..., m-1} with
-subsets stored as bitmasks.  Expressions are evaluated numerically, one
-element at a time, by substituting each symbol's 0/1 indicator value.
-This is deliberately separate from the algebra module's development code:
-the two meet only in tests, where the developed coefficient at a
-constituent must match the numeric value on that constituent's region.
+subsets stored as bitmasks.  Expressions are evaluated numerically by
+substituting each symbol's 0/1 indicator value at every element, in one
+pass over the tree.  This is deliberately separate from the algebra
+module's development code: the two meet only in tests, where the
+developed coefficient at a constituent must match the numeric value on
+that constituent's region.
+
+Whether an equation holds in a model depends only on which constituents
+are non-empty, and on how many elements each holds; which elements they
+are does not matter.  So the exhaustive checks visit one assignment per
+orbit of the universe's permutations: a multiset of m element types (a
+type says which symbols an element belongs to), C(m + 2**k - 1, m) of
+them for k symbols instead of 2**(m*k) assignments.  Before enumerating,
+a check counts its work (orbits x candidate classes x tree nodes) and
+refuses with UniverseLimitExceeded above MAX_ORACLE_WORK.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -17,7 +27,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 from typing import Iterator, Mapping
 
 from .errors import QuotientInOracle, SymbolNotPresent, UniverseLimitExceeded
@@ -27,6 +38,13 @@ from .algebra import Constituent
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
+
+# Node evaluations, summed over universe sizes, that one exhaustive check
+# may plan: orbits x candidate classes (2**m for an unknown, 1 without) x
+# tree nodes.  At the slowest rate measured (about 2.7 us per node
+# evaluation, for check_equation on a 2-vCPU x86-64 host) this is about
+# eight seconds; a plan above it is refused before anything runs.
+MAX_ORACLE_WORK = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -87,35 +105,44 @@ class SetAssignment:
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
-    """Evaluate a division-free expression at one element, exactly."""
-    if element >= assignment.universe.size:
-        raise ValueError(f"element {element} outside the universe")
+def _values(e: Expr, assignment: SetAssignment, elements: range) -> list:
+    """A division-free expression at each given element, in one pass.
 
-    # Exact ints inside, far cheaper than Fractions; a Fraction comes out.
+    Every node holds its values at all the elements at once, as exact
+    ints (or Fractions, once a fractional constant takes part).
+    """
+    width = len(elements)
     stack: list = []
     for node in _postorder(e):
         kind = type(node)
         if kind is Sym:
-            stack.append(assignment.subset(node.symbol) >> element & 1)
+            mask = assignment.subset(node.symbol)
+            stack.append([mask >> i & 1 for i in elements])
         elif kind is Const:
             v = node.value
-            stack.append(v.numerator if v.denominator == 1 else v)
+            stack.append([v.numerator if v.denominator == 1 else v] * width)
         elif kind is Compl:
-            stack.append(1 - stack.pop())
+            stack.append([1 - v for v in stack.pop()])
         elif kind is Quot:
             raise QuotientInOracle("formal division has no pointwise set meaning")
         else:
             right = stack.pop()
-            stack.append(_ARITHMETIC[kind](stack.pop(), right))
-    return Fraction(stack[0])
+            stack.append(list(map(_ARITHMETIC[kind], stack.pop(), right)))
+    return stack[0]
+
+
+def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
+    """Evaluate a division-free expression at one element, exactly."""
+    if element >= assignment.universe.size:
+        raise ValueError(f"element {element} outside the universe")
+    return Fraction(_values(e, assignment, range(element, element + 1))[0])
 
 
 def holds(eq: Equation, assignment: SetAssignment) -> bool:
     """True iff both sides agree numerically at every element."""
-    return all(
-        eval_numeric(eq.lhs, assignment, e) == eval_numeric(eq.rhs, assignment, e)
-        for e in range(assignment.universe.size)
+    elements = range(assignment.universe.size)
+    return _values(eq.lhs, assignment, elements) == _values(
+        eq.rhs, assignment, elements
     )
 
 
@@ -128,12 +155,57 @@ def region(c: Constituent, assignment: SetAssignment) -> int:
     return mask
 
 
-def assignments(
-    universe: Universe, syms: tuple[Symbol, ...]
+def _orbits(universe: Universe, syms: tuple[Symbol, ...]) -> Iterator[SetAssignment]:
+    """One assignment per orbit of the universe's permutations.
+
+    Each multiset of m element types, taken in ascending order, gives
+    element e the e-th type; bit i of a type puts the element in syms[i].
+    """
+    k = len(syms)
+    for types in combinations_with_replacement(range(1 << k), universe.size):
+        masks = [0] * k
+        for e, t in enumerate(types):
+            for i in range(k):
+                masks[i] |= (t >> i & 1) << e
+        yield SetAssignment(universe, dict(zip(syms, masks)))
+
+
+def _models(
+    syms: tuple[Symbol, ...],
+    smallest: int,
+    max_universe: int,
+    nodes: int,
+    candidates: bool,
 ) -> Iterator[SetAssignment]:
-    """Every assignment of the given symbols, in deterministic order."""
-    for choice in product(universe.subsets(), repeat=len(syms)):
-        yield SetAssignment(universe, dict(zip(syms, choice)))
+    """Orbit representatives on universes of size smallest..max_universe.
+
+    Refuses up front, before any enumeration, when max_universe is out of
+    range or when the planned work (orbits x candidate classes x nodes)
+    exceeds MAX_ORACLE_WORK.  With candidates, every model is checked
+    against all 2**m classes of an unknown.
+    """
+    if max_universe < 0:
+        raise ValueError(f"max_universe {max_universe} is negative")
+    if max_universe > MAX_UNIVERSE:
+        raise UniverseLimitExceeded(
+            f"max_universe {max_universe} exceeds the cap of {MAX_UNIVERSE}"
+        )
+    sizes = range(smallest, max_universe + 1)
+    types = 1 << len(syms)
+    work = nodes * sum(
+        comb(m + types - 1, m) * (1 << m if candidates else 1) for m in sizes
+    )
+    if work > MAX_ORACLE_WORK:
+        raise UniverseLimitExceeded(
+            f"exhaustive check over {len(syms)} symbols on universes up to "
+            f"{max_universe} needs {work:,} node evaluations, above the "
+            f"budget of {MAX_ORACLE_WORK:,}"
+        )
+    return (a for m in sizes for a in _orbits(Universe(m), syms))
+
+
+def _node_count(eq: Equation) -> int:
+    return sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -165,14 +237,18 @@ class Counterexample:
     kind: str  # "sound" or "complete"
     universe_size: int
     assignment: tuple[tuple[Symbol, int], ...]
+    unknown: Symbol
     witness: int  # the offending subset for the unknown
     note: str
 
     def __str__(self) -> str:
-        sets = "; ".join(f"{s} = {mask:#b}" for s, mask in self.assignment)
+        model = SetAssignment(
+            Universe(self.universe_size),
+            {**dict(self.assignment), self.unknown: self.witness},
+        )
         return (
             f"{self.kind} failure on universe of size {self.universe_size}: "
-            f"{sets}; w = {self.witness:#b} ({self.note})"
+            f"{model.describe()} ({self.note})"
         )
 
 
@@ -193,19 +269,16 @@ def verify_solved(
     """Exhaustively check a solved class against its source equation.
 
     Quantifies over every universe of size 1..max_universe, every
-    assignment of the solution's free symbols that satisfies all side
-    conditions (each side-condition constituent empty), and every
-    valuation of the v-symbols (each ranging over subsets of its
-    constituent's region).
+    assignment of the solution's free symbols (one per permutation orbit)
+    that satisfies all side conditions (each side-condition constituent
+    empty), and every valuation of the v-symbols (each ranging over
+    subsets of its constituent's region).
 
     sound: every assembled class satisfies the equation.
     complete: every subset satisfying the equation is assembled by some
     v valuation.  The first failure of either kind is reported.
     """
-    if max_universe > MAX_UNIVERSE:
-        raise UniverseLimitExceeded(
-            f"max_universe {max_universe} exceeds the cap of {MAX_UNIVERSE}"
-        )
+    models = _models(sol.free_symbols, 1, max_universe, _node_count(eq), True)
     extras = [
         s
         for s in eq.free_symbols()
@@ -220,44 +293,58 @@ def verify_solved(
     complete = True
     counterexample = None
 
-    for m in range(1, max_universe + 1):
-        universe = Universe(m)
-        for a in assignments(universe, sol.free_symbols):
-            if any(region(c, a) for c in sol.side_conditions):
-                continue
-            base = 0
-            for c in sol.included:
-                base |= region(c, a)
-            v_regions = [region(c, a) for _, c in sol.indeterminate]
-            realized = set()
-            for choice in product(*(list(submasks(r)) for r in v_regions)):
-                w = base
-                for piece in choice:
-                    w |= piece
-                realized.add(w)
-                if sound and not holds(eq, a.with_symbol(sol.unknown, w)):
-                    sound = False
+    for a in models:
+        if any(region(c, a) for c in sol.side_conditions):
+            continue
+        base = 0
+        for c in sol.included:
+            base |= region(c, a)
+        v_regions = [region(c, a) for _, c in sol.indeterminate]
+        realized = set()
+        for choice in product(*(list(submasks(r)) for r in v_regions)):
+            w = base
+            for piece in choice:
+                w |= piece
+            realized.add(w)
+            if sound and not holds(eq, a.with_symbol(sol.unknown, w)):
+                sound = False
+                if counterexample is None:
+                    counterexample = Counterexample(
+                        "sound",
+                        a.universe.size,
+                        tuple(a.subsets.items()),
+                        sol.unknown,
+                        w,
+                        "assembled class does not satisfy the equation",
+                    )
+        if complete:
+            for w in enumerate_solutions(eq, sol.unknown, a):
+                if w not in realized:
+                    complete = False
                     if counterexample is None:
                         counterexample = Counterexample(
-                            "sound",
-                            m,
+                            "complete",
+                            a.universe.size,
                             tuple(a.subsets.items()),
+                            sol.unknown,
                             w,
-                            "assembled class does not satisfy the equation",
+                            "solution not assembled by any v valuation",
                         )
-            if complete:
-                for w in enumerate_solutions(eq, sol.unknown, a):
-                    if w not in realized:
-                        complete = False
-                        if counterexample is None:
-                            counterexample = Counterexample(
-                                "complete",
-                                m,
-                                tuple(a.subsets.items()),
-                                w,
-                                "solution not assembled by any v valuation",
-                            )
-                        break
-            if not sound and not complete:
-                return VerificationReport(False, False, counterexample)
+                    break
+        if not sound and not complete:
+            return VerificationReport(False, False, counterexample)
     return VerificationReport(sound, complete, counterexample)
+
+
+def check_equation(
+    eq: Equation, syms: tuple[Symbol, ...], max_universe: int = 4
+) -> SetAssignment | None:
+    """The first model on universes 0..max_universe where eq fails, if any.
+
+    Models assign the given symbols, one per permutation orbit, smaller
+    universes first.
+    """
+    for a in _models(syms, 0, max_universe, _node_count(eq), False):
+        if not holds(eq, a):
+            return a
+    return None

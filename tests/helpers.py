@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from elective import (
     Add,
     Compl,
     Const,
+    Equation,
     Expr,
     Mul,
     Quot,
@@ -19,6 +21,8 @@ from elective import (
     Universe,
     constituents,
     eval_numeric,
+    region,
+    submasks,
 )
 
 XYZW = tuple(Symbol(n) for n in "xyzw")
@@ -68,3 +72,82 @@ def random_interpretable_expr(
     for c in picked[1:]:
         out = Add(out, c.to_expr())
     return out
+
+
+# -- naive oracle: every assignment, one element at a time ------------------
+#
+# The reference the package's orbit oracle is cross-checked against: it
+# enumerates all 2**(m*k) assignments and evaluates each side of an
+# equation separately at every element.
+
+
+def assignments(universe: Universe, syms: tuple[Symbol, ...]):
+    """Every assignment of the given symbols, first symbol slowest."""
+    for choice in product(universe.subsets(), repeat=len(syms)):
+        yield SetAssignment(universe, dict(zip(syms, choice)))
+
+
+def naive_value(e: Expr, a: SetAssignment, element: int):
+    """e at one element, by direct recursion over the (shallow) tree."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Sym):
+        return a.subset(e.symbol) >> element & 1
+    if isinstance(e, Compl):
+        return 1 - naive_value(e.operand, a, element)
+    left, right = naive_value(e.left, a, element), naive_value(e.right, a, element)
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    if isinstance(e, Mul):
+        return left * right
+    raise TypeError(f"the naive oracle does not evaluate {type(e).__name__}")
+
+
+def naive_holds(eq: Equation, a: SetAssignment) -> bool:
+    return all(
+        naive_value(eq.lhs, a, e) == naive_value(eq.rhs, a, e)
+        for e in range(a.universe.size)
+    )
+
+
+def naive_verify(sol, eq: Equation, max_universe: int):
+    """(sound, complete, kind of the first failure or None), naively."""
+    sound = complete = True
+    kind = None
+    for m in range(1, max_universe + 1):
+        for a in assignments(Universe(m), sol.free_symbols):
+            if any(region(c, a) for c in sol.side_conditions):
+                continue
+            base = 0
+            for c in sol.included:
+                base |= region(c, a)
+            realized = set()
+            v_regions = [list(submasks(region(c, a))) for _, c in sol.indeterminate]
+            for choice in product(*v_regions):
+                w = base
+                for piece in choice:
+                    w |= piece
+                realized.add(w)
+                if sound and not naive_holds(eq, a.with_symbol(sol.unknown, w)):
+                    sound = False
+                    kind = kind or "sound"
+            if complete and any(
+                w not in realized
+                for w in a.universe.subsets()
+                if naive_holds(eq, a.with_symbol(sol.unknown, w))
+            ):
+                complete = False
+                kind = kind or "complete"
+            if not sound and not complete:
+                return sound, complete, kind
+    return sound, complete, kind
+
+
+def naive_first_failure(eq: Equation, syms: tuple[Symbol, ...], max_universe: int):
+    """The size of the smallest universe on which eq fails, or None."""
+    for m in range(max_universe + 1):
+        if not all(naive_holds(eq, a) for a in assignments(Universe(m), syms)):
+            return m
+    return None

@@ -29,7 +29,6 @@ from elective import (
     ThreeVal,
     Universe,
     ZERO,
-    assignments,
     catuskoti_classify,
     constituents,
     eliminate,
@@ -45,7 +44,13 @@ from elective import (
     verify_solved,
 )
 from elective.modern import analyze
-from helpers import XYZW, oracle_vertex_value, random_expr, random_interpretable_expr
+from helpers import (
+    XYZW,
+    assignments,
+    oracle_vertex_value,
+    random_expr,
+    random_interpretable_expr,
+)
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)

@@ -284,6 +284,37 @@ def test_solve_max_universe_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["check", "x = 1", "--max-universe", "9"], 2, "cap of 8"),
+        (["check", "x = 1", "--max-universe", "-1"], 1, "negative"),
+        (["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "-3"], 1,
+         "negative"),
+    ],
+)
+def test_max_universe_out_of_range_is_refused(capsys, argv, exit_code, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert message in err
+
+
+def test_oracle_work_budget_refusal_names_the_count(capsys):
+    code, out, err = invoke(
+        capsys, "solve", "x*w = y*z", "--for", "w", "--verify", "--max-universe", "8"
+    )
+    assert (code, out) == (2, "")
+    assert "13,369,344 node evaluations" in err
+
+
+def test_solve_verify_reaches_the_universe_cap(capsys):
+    code, out, _ = invoke(
+        capsys, "solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "8"
+    )
+    assert code == 0
+    assert out.endswith("verified sound and complete on universes 1..8\n")
+
+
 def test_cli_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "elective", "nyaya", "table"],

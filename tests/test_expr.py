@@ -1,4 +1,6 @@
-"""Expression tree basics: symbols, rendering."""
+"""Expression tree basics: symbols, rendering, equality."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from elective import (
     ZERO,
     format_expr,
     free_symbols,
+    parse_expression,
     symbols,
 )
 
@@ -78,3 +81,26 @@ def test_equation_homogeneous():
     # a zero right side is used as-is, keeping residuals compact
     assert Equation(Sym(x), ZERO).homogeneous() == Sym(x)
     assert eq.free_symbols() == (x, y, z)
+
+
+def test_shallow_repr_is_the_field_listing():
+    e = Sub(Compl(Sym(x)), Const(Fraction(1, 2)))
+    assert repr(e) == (
+        "Sub(left=Compl(operand=Sym(symbol=Symbol(name='x'))), "
+        "right=Const(value=Fraction(1, 2)))"
+    )
+    assert Add(Sym(x), ONE) != Sub(Sym(x), ONE)
+    assert Sym(x) != Sym(y) and Const(1) != Const(2) and Sym(x) != Const(1)
+    assert hash(Mul(Sym(x), Sym(y))) == hash(Mul(Sym(x), Sym(y)))
+
+
+def test_deep_trees_compare_hash_and_print():
+    # dataclass-generated methods recursed once per level and overflowed here
+    text = " + ".join(["x"] * 3000)
+    a, b = parse_expression(text), parse_expression(text)
+    other = parse_expression(text[:-1] + "y")
+    assert a == b and a != other
+    assert hash(a) == hash(b)
+    assert len({a, b, other}) == 2
+    assert Equation(a, other) == Equation(b, other)
+    assert repr(a).count("Add(left=") == 2999

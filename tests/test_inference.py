@@ -22,7 +22,6 @@ from elective import (
     UninterpretableNesting,
     Universe,
     ZERO,
-    assignments,
     combine_premises,
     constituents,
     contains_quotient,
@@ -36,7 +35,13 @@ from elective import (
     symbols,
     verify_solved,
 )
-from helpers import XYZW, oracle_vertex_value, random_expr, random_interpretable_expr
+from helpers import (
+    XYZW,
+    assignments,
+    oracle_vertex_value,
+    random_expr,
+    random_interpretable_expr,
+)
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)

@@ -2,11 +2,16 @@
 
 import random
 from dataclasses import replace
+from math import comb
+
 import pytest
 
 from elective import (
     Add,
     Compl,
+    Const,
+    ElectiveError,
+    Equation,
     Mul,
     ONE,
     Quot,
@@ -16,7 +21,7 @@ from elective import (
     Sym,
     Universe,
     UniverseLimitExceeded,
-    assignments,
+    check_equation,
     enumerate_solutions,
     eval_numeric,
     expand,
@@ -27,7 +32,16 @@ from elective import (
     submasks,
     verify_solved,
 )
-from helpers import XYZW, random_expr
+from elective.oracle import MAX_ORACLE_WORK, _orbits
+from helpers import (
+    XYZW,
+    assignments,
+    naive_first_failure,
+    naive_holds,
+    naive_verify,
+    random_expr,
+    random_interpretable_expr,
+)
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)
@@ -197,3 +211,162 @@ def test_interpretable_means_every_element_is_zero_or_one():
                     if eval_numeric(e, a, element) not in (0, 1):
                         pointwise_class = False
         assert form.is_interpretable() == pointwise_class
+
+
+def verdict(report):
+    kind = report.counterexample.kind if report.counterexample else None
+    return report.sound, report.complete, kind
+
+
+def test_counterexample_renders_sets():
+    eq = parse_equation("x*w = y")
+    sol = replace(solve_for(eq, w), side_conditions=frozenset())
+    assert str(verify_solved(sol, eq, 3).counterexample) == (
+        "sound failure on universe of size 1: x = {}; y = {0}; w = {} "
+        "(assembled class does not satisfy the equation)"
+    )
+
+
+def test_max_universe_validated_before_enumeration():
+    eq = parse_equation("x*w = y")
+    sol = solve_for(eq, w)
+    with pytest.raises(ValueError):
+        verify_solved(sol, eq, -1)
+    with pytest.raises(ValueError):
+        check_equation(eq, (x, y, w), -1)
+    with pytest.raises(UniverseLimitExceeded):
+        check_equation(parse_equation("x = 1"), (x,), 9)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_orbit_counts_are_multisets_of_types(k):
+    syms = XYZW[:k]
+    for m in range(9):
+        assert sum(1 for _ in _orbits(Universe(m), syms)) == comb(m + 2**k - 1, m)
+
+
+def _type_multiset(a, syms):
+    types = [
+        sum((a.subset(s) >> e & 1) << i for i, s in enumerate(syms))
+        for e in range(a.universe.size)
+    ]
+    return tuple(sorted(types))
+
+
+@pytest.mark.parametrize("k, max_m", [(1, 4), (2, 4), (3, 2)])
+def test_orbits_take_one_assignment_per_permutation_class(k, max_m):
+    syms = XYZW[:k]
+    for m in range(max_m + 1):
+        orbits = [_type_multiset(a, syms) for a in _orbits(Universe(m), syms)]
+        naive = {_type_multiset(a, syms) for a in assignments(Universe(m), syms)}
+        assert len(set(orbits)) == len(orbits)
+        assert set(orbits) == naive
+
+
+def _corruptions(sol):
+    return {
+        "exact": sol,
+        "no side conditions": replace(sol, side_conditions=frozenset()),
+        "no indeterminate": replace(sol, indeterminate=()),
+        "all included": replace(
+            sol, included=sol.included | sol.excluded, excluded=frozenset()
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, basis, max_m",
+    [
+        ("x*w = y", None, 4),
+        ("x*w = x", None, 4),
+        ("2*x*w = y", None, 4),
+        ("w*x' = y*w", None, 4),
+        ("0*w + 0*(1 - w) = 0", (x, y), 3),
+    ],
+)
+def test_verify_matches_naive_on_oracle_cases(text, basis, max_m):
+    eq = parse_equation(text)
+    for name, sol in _corruptions(solve_for(eq, w, basis)).items():
+        for m in range(max_m + 1):
+            assert verdict(verify_solved(sol, eq, m)) == naive_verify(sol, eq, m), (
+                name,
+                m,
+            )
+
+
+def _random_solved(rng, syms):
+    while True:
+        if rng.random() < 0.5:
+            a = random_interpretable_expr(rng, syms)
+            b = random_interpretable_expr(rng, syms)
+            eq = Equation(Add(Mul(a, W), Mul(b, Compl(W))), Const(0))
+        else:
+            eq = Equation(
+                random_expr(rng, syms + (w,), 2), random_expr(rng, syms + (w,), 2)
+            )
+        try:
+            return eq, solve_for(eq, w, syms)
+        except ElectiveError:
+            continue
+
+
+def _moved_to_excluded(rng, sol):
+    """sol with one included or indeterminate constituent excluded, or None."""
+    picks = [(True, c) for c in sol.included]
+    picks += [(False, c) for _, c in sol.indeterminate]
+    if not picks:
+        return None
+    included, c = rng.choice(picks)
+    if included:
+        return replace(sol, included=sol.included - {c}, excluded=sol.excluded | {c})
+    return replace(
+        sol,
+        indeterminate=tuple(p for p in sol.indeterminate if p[1] != c),
+        excluded=sol.excluded | {c},
+    )
+
+
+def test_verify_matches_naive_on_random_solved_classes():
+    rng = random.Random(2024)
+    checked = {"exact": 0, "mutated": 0}
+    while sum(checked.values()) < 1000:
+        k = rng.choice((1, 2))
+        eq, sol = _random_solved(rng, (x, y)[:k])
+        m = 3 if k == 1 else 2
+        report = verify_solved(sol, eq, m)
+        assert report.ok and verdict(report) == naive_verify(sol, eq, m), str(eq)
+        checked["exact"] += 1
+        bad = _moved_to_excluded(rng, sol)
+        if bad is not None:
+            assert verdict(verify_solved(bad, eq, m)) == naive_verify(bad, eq, m)
+            checked["mutated"] += 1
+    assert min(checked.values()) > 300
+
+
+def test_check_equation_matches_naive():
+    rng = random.Random(1847)
+    for k, max_m in ((1, 4), (2, 3), (3, 2)):
+        syms = XYZW[:k]
+        for j in range(60):
+            lhs = random_expr(rng, syms, 3)
+            # every other equation is an identity: lhs against its development
+            rhs = expand(lhs, syms).to_expr() if j % 2 else random_expr(rng, syms, 3)
+            eq = Equation(lhs, rhs)
+            model = check_equation(eq, syms, max_m)
+            first = naive_first_failure(eq, syms, max_m)
+            if model is None:
+                assert first is None
+            else:
+                assert model.universe.size == first and not naive_holds(eq, model)
+
+
+def test_work_above_the_budget_is_refused_up_front():
+    # three free symbols at the universe cap: 13 369 344 node evaluations
+    eq = parse_equation("x*w = y*z")
+    sol = solve_for(eq, w)
+    with pytest.raises(UniverseLimitExceeded, match="13,369,344"):
+        verify_solved(sol, eq, 8)
+    eq = parse_equation("a*b*c*d*e*f = f*e*d*c*b*a")
+    with pytest.raises(UniverseLimitExceeded, match=f"{MAX_ORACLE_WORK:,}"):
+        check_equation(eq, eq.free_symbols(), 8)
+
