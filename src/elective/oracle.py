@@ -171,17 +171,17 @@ def _orbits(universe: Universe, syms: tuple[Symbol, ...]) -> Iterator[SetAssignm
 
 
 def _models(
+    eq: Equation,
     syms: tuple[Symbol, ...],
     smallest: int,
     max_universe: int,
-    nodes: int,
     candidates: bool,
 ) -> Iterator[SetAssignment]:
     """Orbit representatives on universes of size smallest..max_universe.
 
     Refuses up front, before any enumeration, when max_universe is out of
-    range or when the planned work (orbits x candidate classes x nodes)
-    exceeds MAX_ORACLE_WORK.  With candidates, every model is checked
+    range or when the planned work (orbits x candidate classes x nodes of
+    eq) exceeds MAX_ORACLE_WORK.  With candidates, every model is checked
     against all 2**m classes of an unknown.
     """
     if max_universe < 0:
@@ -192,6 +192,7 @@ def _models(
         )
     sizes = range(smallest, max_universe + 1)
     types = 1 << len(syms)
+    nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
     work = nodes * sum(
         comb(m + types - 1, m) * (1 << m if candidates else 1) for m in sizes
     )
@@ -202,10 +203,6 @@ def _models(
             f"budget of {MAX_ORACLE_WORK:,}"
         )
     return (a for m in sizes for a in _orbits(Universe(m), syms))
-
-
-def _node_count(eq: Equation) -> int:
-    return sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -278,7 +275,7 @@ def verify_solved(
     complete: every subset satisfying the equation is assembled by some
     v valuation.  The first failure of either kind is reported.
     """
-    models = _models(sol.free_symbols, 1, max_universe, _node_count(eq), True)
+    models = _models(eq, sol.free_symbols, 1, max_universe, True)
     extras = [
         s
         for s in eq.free_symbols()
@@ -344,7 +341,7 @@ def check_equation(
     Models assign the given symbols, one per permutation orbit, smaller
     universes first.
     """
-    for a in _models(syms, 0, max_universe, _node_count(eq), False):
+    for a in _models(eq, syms, 0, max_universe, False):
         if not holds(eq, a):
             return a
     return None
