@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     EmptySymbolList,
@@ -158,7 +158,7 @@ def constituents(syms) -> tuple[Constituent, ...]:
     return tuple(Constituent(order, m) for m in range(1 << len(order)))
 
 
-def display_order(items: tuple[Constituent, ...]) -> tuple[Constituent, ...]:
+def display_order(items: Iterable[Constituent]) -> tuple[Constituent, ...]:
     """Constituents in the traditional layout: all-plain first."""
     return tuple(sorted(items, key=lambda c: c.display_rank(), reverse=True))
 

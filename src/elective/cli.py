@@ -97,14 +97,12 @@ def _solution_payload(sol: SolvedClass) -> dict:
     return {
         "unknown": sol.unknown.name,
         "symbols": [s.name for s in sol.free_symbols],
-        "included": [str(c) for c in display_order(tuple(sol.included))],
+        "included": [str(c) for c in display_order(sol.included)],
         "indeterminate": [
             {"name": v.name, "constituent": str(c)} for v, c in sol.indeterminate
         ],
-        "side_conditions": [
-            str(c) for c in display_order(tuple(sol.side_conditions))
-        ],
-        "excluded": [str(c) for c in display_order(tuple(sol.excluded))],
+        "side_conditions": [str(c) for c in display_order(sol.side_conditions)],
+        "excluded": [str(c) for c in display_order(sol.excluded)],
         "solution": sol.describe(),
     }
 

@@ -48,7 +48,6 @@ from .expr import (
     Equation,
     Expr,
     Mul,
-    Sym,
     Symbol,
     ZERO,
     contains_quotient,
@@ -85,35 +84,20 @@ class SolvedClass:
     side_conditions: frozenset[Constituent]
     excluded: frozenset[Constituent]
 
-    def as_expr(self) -> Expr:
-        """The class as an expression: included terms plus v-weighted terms."""
-        terms = [c.to_expr() for c in _in_display_order(self.included)]
-        terms += [Mul(Sym(v), c.to_expr()) for v, c in self.indeterminate]
-        if not terms:
-            return ZERO
-        out = terms[0]
-        for t in terms[1:]:
-            out = Add(out, t)
-        return out
-
     def describe(self) -> str:
         """One-line rendering: 'w = ...' plus side conditions if any."""
-        parts = [str(c) for c in _in_display_order(self.included)]
+        parts = [str(c) for c in display_order(self.included)]
         parts += [f"{v}*{c}" for v, c in self.indeterminate]
         text = f"{self.unknown} = " + (" + ".join(parts) if parts else "0")
         if self.side_conditions:
             conds = ", ".join(
-                f"{c} = 0" for c in _in_display_order(self.side_conditions)
+                f"{c} = 0" for c in display_order(self.side_conditions)
             )
             text += f"  where {conds}"
         return text
 
     def __str__(self) -> str:
         return self.describe()
-
-
-def _in_display_order(group) -> tuple[Constituent, ...]:
-    return display_order(tuple(group))
 
 
 def _division_free(f: Expr, what: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Coeff, Constituent, LinearForm, expand
-from .errors import NotInterpretable, SymbolListMismatch
+from .errors import NotInterpretable
 from .expr import Expr, free_symbols
 
 
@@ -40,21 +40,11 @@ def _require_interpretable(f: LinearForm, name: str) -> LinearForm:
     return f
 
 
-def _require_same_symbols(f: LinearForm, g: LinearForm) -> None:
-    if f.symbols != g.symbols:
-        raise SymbolListMismatch(
-            f"{[s.name for s in f.symbols]} vs {[s.name for s in g.symbols]}"
-        )
-
-
 def b_or(f: LinearForm, g: LinearForm) -> LinearForm:
     """Union: coefficientwise max on interpretable forms."""
     _require_interpretable(f, "b_or")
     _require_interpretable(g, "b_or")
-    _require_same_symbols(f, g)
-    return LinearForm(
-        f.symbols, tuple(max(a, b) for a, b in zip(f.coeffs, g.coeffs))
-    )
+    return f + g - f * g  # max equals this on {0,1}
 
 
 def b_and(f: LinearForm, g: LinearForm) -> LinearForm:

@@ -15,7 +15,10 @@ orbit of the universe's permutations: a multiset of m element types (a
 type says which symbols an element belongs to), C(m + 2**k - 1, m) of
 them for k symbols instead of 2**(m*k) assignments.  Before enumerating,
 a check counts its work (orbits x candidate classes x tree nodes) and
-refuses with UniverseLimitExceeded above MAX_ORACLE_WORK.
+refuses with UniverseLimitExceeded above MAX_ORACLE_WORK.  That count
+bounds the work run: verify_solved evaluates each of a model's 2**m
+candidate classes once, in enumerate_solutions, and compares the classes
+the solution assembles with the ones that satisfy.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -27,6 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Iterator, Mapping
@@ -55,7 +59,7 @@ class Universe:
 
     def __post_init__(self):
         if self.size < 0:
-            raise ValueError("universe size cannot be negative")
+            raise ValueError(f"universe size {self.size} is negative")
         if self.size > MAX_UNIVERSE:
             raise UniverseLimitExceeded(
                 f"universe size {self.size} exceeds the exhaustive cap "
@@ -184,13 +188,7 @@ def _models(
     eq) exceeds MAX_ORACLE_WORK.  With candidates, every model is checked
     against all 2**m classes of an unknown.
     """
-    if max_universe < 0:
-        raise ValueError(f"max_universe {max_universe} is negative")
-    if max_universe > MAX_UNIVERSE:
-        raise UniverseLimitExceeded(
-            f"max_universe {max_universe} exceeds the cap of {MAX_UNIVERSE}"
-        )
-    sizes = range(smallest, max_universe + 1)
+    sizes = range(smallest, Universe(max_universe).size + 1)
     types = 1 << len(syms)
     nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
     work = nodes * sum(
@@ -271,9 +269,11 @@ def verify_solved(
     empty), and every valuation of the v-symbols (each ranging over
     subsets of its constituent's region).
 
-    sound: every assembled class satisfies the equation.
-    complete: every subset satisfying the equation is assembled by some
-    v valuation.  The first failure of either kind is reported.
+    Each kept model's solutions are enumerated once and compared with
+    the assembled classes.  sound: every assembled class is a solution.
+    complete: every solution is assembled by some v valuation.  The first
+    failure of either kind is reported, soundness before completeness
+    within a model.
     """
     models = _models(eq, sol.free_symbols, 1, max_universe, True)
     extras = [
@@ -286,51 +286,39 @@ def verify_solved(
             f"equation symbols {[s.name for s in extras]} are not covered "
             "by the solution's free symbols"
         )
-    sound = True
-    complete = True
-    counterexample = None
-
+    failures: dict[str, Counterexample] = {}
     for a in models:
         if any(region(c, a) for c in sol.side_conditions):
             continue
         base = 0
         for c in sol.included:
             base |= region(c, a)
-        v_regions = [region(c, a) for _, c in sol.indeterminate]
-        realized = set()
-        for choice in product(*(list(submasks(r)) for r in v_regions)):
-            w = base
-            for piece in choice:
-                w |= piece
-            realized.add(w)
-            if sound and not holds(eq, a.with_symbol(sol.unknown, w)):
-                sound = False
-                if counterexample is None:
-                    counterexample = Counterexample(
-                        "sound",
-                        a.universe.size,
-                        tuple(a.subsets.items()),
-                        sol.unknown,
-                        w,
-                        "assembled class does not satisfy the equation",
-                    )
-        if complete:
-            for w in enumerate_solutions(eq, sol.unknown, a):
-                if w not in realized:
-                    complete = False
-                    if counterexample is None:
-                        counterexample = Counterexample(
-                            "complete",
-                            a.universe.size,
-                            tuple(a.subsets.items()),
-                            sol.unknown,
-                            w,
-                            "solution not assembled by any v valuation",
-                        )
-                    break
-        if not sound and not complete:
-            return VerificationReport(False, False, counterexample)
-    return VerificationReport(sound, complete, counterexample)
+        pieces = [submasks(region(c, a)) for _, c in sol.indeterminate]
+        realized = [reduce(operator.or_, v, base) for v in product(*pieces)]
+        solutions = enumerate_solutions(eq, sol.unknown, a)
+        for kind, classes, allowed, note in (
+            ("sound", realized, set(solutions),
+             "assembled class does not satisfy the equation"),
+            ("complete", solutions, set(realized),
+             "solution not assembled by any v valuation"),
+        ):
+            witness = next((w for w in classes if w not in allowed), None)
+            if witness is not None and kind not in failures:
+                failures[kind] = Counterexample(
+                    kind,
+                    a.universe.size,
+                    tuple(a.subsets.items()),
+                    sol.unknown,
+                    witness,
+                    note,
+                )
+        if len(failures) == 2:
+            break
+    return VerificationReport(
+        "sound" not in failures,
+        "complete" not in failures,
+        next(iter(failures.values()), None),
+    )
 
 
 def check_equation(

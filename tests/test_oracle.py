@@ -370,3 +370,55 @@ def test_work_above_the_budget_is_refused_up_front():
     with pytest.raises(UniverseLimitExceeded, match=f"{MAX_ORACLE_WORK:,}"):
         check_equation(eq, eq.free_symbols(), 8)
 
+
+def _counting_holds(monkeypatch):
+    """Count the oracle's calls of holds in item 0 of the returned list."""
+    from elective import oracle
+
+    calls = [0]
+    real = oracle.holds
+
+    def counted(eq, assignment):
+        calls[0] += 1
+        return real(eq, assignment)
+
+    monkeypatch.setattr(oracle, "holds", counted)
+    return calls
+
+
+def test_verify_evaluates_each_candidate_once(monkeypatch):
+    # every class satisfies x*w = w*x, so every candidate is also assembled
+    eq = parse_equation("x*w = w*x")
+    sol = solve_for(eq, w)
+    calls = _counting_holds(monkeypatch)
+    for top in range(6):
+        calls[0] = 0
+        assert verify_solved(sol, eq, top).ok
+        assert calls[0] == sum(comb(m + 1, m) * 2**m for m in range(1, top + 1))
+
+
+@pytest.mark.parametrize(
+    "text, basis",
+    [
+        ("x*w = y", None),
+        ("x*w = x", None),
+        ("2*x*w = y", None),
+        ("w*x' = y*w", None),
+        ("0*w + 0*(1 - w) = 0", (x, y)),
+    ],
+)
+def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
+    from elective.expr import _postorder
+
+    eq = parse_equation(text)
+    nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
+    calls = _counting_holds(monkeypatch)
+    for name, sol in _corruptions(solve_for(eq, w, basis)).items():
+        types = 2 ** len(sol.free_symbols)
+        for top in range(5):
+            calls[0] = 0
+            verify_solved(sol, eq, top)
+            planned = nodes * sum(
+                comb(m + types - 1, m) * 2**m for m in range(1, top + 1)
+            )
+            assert calls[0] * nodes <= planned, (name, top)
