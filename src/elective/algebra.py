@@ -40,6 +40,7 @@ from .expr import (
     Const,
     Expr,
     Mul,
+    ONE,
     Quot,
     Sub,
     Sym,
@@ -125,25 +126,8 @@ class Constituent:
         """The 0/1 point at which this constituent's factor product is 1."""
         return {s: self.mask >> i & 1 for i, s in enumerate(self.symbols)}
 
-    def display_rank(self) -> int:
-        # Reads the mask with the first symbol as the most significant bit,
-        # so descending rank reproduces the traditional development layout
-        # (for two symbols: xy, xy', x'y, x'y').
-        n = len(self.symbols)
-        return sum((self.mask >> i & 1) << (n - 1 - i) for i in range(n))
-
-    def factors(self) -> list[Expr]:
-        return [
-            Sym(s) if self.takes(i) else Compl(Sym(s))
-            for i, s in enumerate(self.symbols)
-        ]
-
     def to_expr(self) -> Expr:
-        factors = self.factors()
-        out: Expr = factors[0]
-        for f in factors[1:]:
-            out = Mul(out, f)
-        return out
+        return _product(_literals(self.symbols), self.mask)
 
     def __str__(self) -> str:
         return "*".join(
@@ -158,9 +142,38 @@ def constituents(syms) -> tuple[Constituent, ...]:
     return tuple(Constituent(order, m) for m in range(1 << len(order)))
 
 
+def _display_masks(n: int) -> list[int]:
+    """The masks over n symbols in the traditional layout (xy, xy', x'y, x'y').
+
+    Each doubling puts the masks that take symbol i before those that do
+    not, so the first symbol, doubled last, varies slowest.
+    """
+    order = [0]
+    for i in reversed(range(n)):
+        order = [m | 1 << i for m in order] + order
+    return order
+
+
 def display_order(items: Iterable[Constituent]) -> tuple[Constituent, ...]:
     """Constituents in the traditional layout: all-plain first."""
-    return tuple(sorted(items, key=lambda c: c.display_rank(), reverse=True))
+    items = tuple(items)
+    masks = _display_masks(len(items[0].symbols) if items else 0)
+    rank = {m: r for r, m in enumerate(masks)}
+    return tuple(sorted(items, key=lambda c: rank[c.mask]))
+
+
+def _literals(syms: tuple[Symbol, ...]) -> list[tuple[Expr, Expr]]:
+    """One (complement, plain) node pair per symbol, shared by every term."""
+    return [(Compl(s), s) for s in map(Sym, syms)]
+
+
+def _product(literals: list[tuple[Expr, Expr]], mask: int, first=None) -> Expr:
+    """The constituent product for mask, left-nested after `first` if given."""
+    out = first
+    for i, pair in enumerate(literals):
+        factor = pair[mask >> i & 1]
+        out = factor if out is None else Mul(out, factor)
+    return ONE if out is None else out
 
 
 def eval_at(e: Expr, vertex: Mapping[Symbol, int]) -> Coeff:
@@ -236,6 +249,11 @@ def _evaluate(e: Expr, width: int, value) -> tuple[list, dict, dict]:
     return stack[-1][0], stack[-1][1], failed
 
 
+def _is_class_coeff(v: Coeff) -> bool:
+    """True iff v is a finite 0 or 1: the coefficient of a class."""
+    return isinstance(v, Fraction) and v in (0, 1)
+
+
 def _require_finite(v: Coeff, context: str) -> None:
     if not isinstance(v, Fraction):
         raise UninterpretableNesting(
@@ -273,9 +291,6 @@ class LinearForm:
     def zero(cls, syms) -> "LinearForm":
         return cls.constant(syms, 0)
 
-    def constituents(self) -> tuple[Constituent, ...]:
-        return tuple(Constituent(self.symbols, m) for m in range(len(self.coeffs)))
-
     def coeff(self, c: Constituent | int) -> Coeff:
         mask = c.mask if isinstance(c, Constituent) else c
         return self.coeffs[mask]
@@ -288,14 +303,13 @@ class LinearForm:
     def display_items(self) -> tuple[tuple[Constituent, Coeff], ...]:
         """(constituent, coefficient) pairs in the traditional layout."""
         return tuple(
-            (c, self.coeffs[c.mask]) for c in display_order(self.constituents())
+            (Constituent(self.symbols, m), self.coeffs[m])
+            for m in _display_masks(len(self.symbols))
         )
 
     def is_interpretable(self) -> bool:
         """True iff every coefficient is 0 or 1, i.e. the form is a class."""
-        return all(
-            isinstance(v, Fraction) and v in (0, 1) for v in self.coeffs
-        )
+        return all(map(_is_class_coeff, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(isinstance(v, Fraction) and v == 0 for v in self.coeffs)
@@ -328,24 +342,15 @@ class LinearForm:
 
     def to_expr(self) -> Expr:
         """Compact expression: non-zero terms in display order, 0 if none."""
-        terms = []
-        for c, v in self.display_items():
+        literals = _literals(self.symbols)
+        out = None
+        for m in _display_masks(len(self.symbols)):
+            v = self.coeffs[m]
             _require_finite(v, "expression rebuild")
-            if v == 0:
-                continue
-            if v == 1:
-                terms.append(c.to_expr())
-            else:
-                term: Expr = Const(v)
-                for f in c.factors():
-                    term = Mul(term, f)
-                terms.append(term)
-        if not terms:
-            return ZERO
-        out = terms[0]
-        for t in terms[1:]:
-            out = Add(out, t)
-        return out
+            if v != 0:
+                term = _product(literals, m, None if v == 1 else Const(v))
+                out = term if out is None else Add(out, term)
+        return ZERO if out is None else out
 
     def __str__(self) -> str:
         return format_linear_form(self)

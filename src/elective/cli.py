@@ -31,22 +31,16 @@ from .algebra import (
     expand,
 )
 from .errors import ElectiveError, ParseError
-from .expr import Add, Symbol, format_expr, free_symbols, symbols
+from .expr import Symbol, format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
 from .oracle import check_equation, verify_solved
 from .parsing import parse_equation, parse_expression
 
-# Full expansion of the constituent sum is quadratic in 2**n; above this
-# many symbols the partition check falls back to per-vertex evaluation.
-_PARTITION_EXPAND_LIMIT = 8
-
-
 @dataclass
 class OutputDocument:
-    text: str
-    payload: dict
+    body: str | dict  # the text, or the payload under --json
     exit_code: int = 0
 
 
@@ -56,9 +50,8 @@ def _coeff_json(v: Coeff):
     return str(v)
 
 
-def _term_entries(form: LinearForm) -> tuple[list[str], list[dict]]:
+def _term_lines(form: LinearForm) -> list[str]:
     lines = []
-    entries = []
     for c, v in form.display_items():
         line = f"{coeff_factor_text(v)}*{c}"
         if isinstance(v, Infinite):
@@ -66,8 +59,14 @@ def _term_entries(form: LinearForm) -> tuple[list[str], list[dict]]:
         elif isinstance(v, Indeterminate):
             line += "  [indeterminate]"
         lines.append(line)
-        entries.append({"constituent": str(c), "coefficient": _coeff_json(v)})
-    return lines, entries
+    return lines
+
+
+def _term_entries(form: LinearForm) -> list[dict]:
+    return [
+        {"constituent": str(c), "coefficient": _coeff_json(v)}
+        for c, v in form.display_items()
+    ]
 
 
 def _symbol_list(arg: str | None, fallback) -> tuple[Symbol, ...]:
@@ -80,17 +79,19 @@ def cmd_expand(args) -> OutputDocument:
     e = parse_expression(args.expression)
     syms = _symbol_list(args.symbols, free_symbols(e))
     form = expand(e, syms)
-    lines, entries = _term_entries(form)
     interpretable = form.is_interpretable()
+    if args.json:
+        payload = {
+            "command": "expand",
+            "expression": format_expr(e),
+            "symbols": [s.name for s in form.symbols],
+            "terms": _term_entries(form),
+            "interpretable": interpretable,
+        }
+        return OutputDocument(payload)
+    lines = _term_lines(form)
     lines.append("interpretable" if interpretable else "NOT INTERPRETABLE")
-    payload = {
-        "command": "expand",
-        "expression": format_expr(e),
-        "symbols": [s.name for s in form.symbols],
-        "terms": entries,
-        "interpretable": interpretable,
-    }
-    return OutputDocument("\n".join(lines), payload)
+    return OutputDocument("\n".join(lines))
 
 
 def _solution_payload(sol: SolvedClass) -> dict:
@@ -111,14 +112,11 @@ def cmd_solve(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     syms = symbols(args.symbols) if args.symbols else None
     sol = solve_for(eq, Symbol(args.unknown), syms)
-    text = sol.describe()
-    payload = {"command": "solve", "equation": str(eq)}
-    payload.update(_solution_payload(sol))
-    payload["verification"] = None
-    exit_code = 0
-    if args.verify:
-        report = verify_solved(sol, eq, args.max_universe)
-        payload["verification"] = {
+    report = verify_solved(sol, eq, args.max_universe) if args.verify else None
+    exit_code = 3 if report and not report.ok else 0
+    if args.json:
+        payload = {"command": "solve", "equation": str(eq), **_solution_payload(sol)}
+        payload["verification"] = None if report is None else {
             "max_universe": args.max_universe,
             "sound": report.sound,
             "complete": report.complete,
@@ -126,31 +124,29 @@ def cmd_solve(args) -> OutputDocument:
                 str(report.counterexample) if report.counterexample else None
             ),
         }
-        if report.ok:
-            text += f"\nverified sound and complete on universes 1..{args.max_universe}"
-        else:
-            text += f"\nverification FAILED: {report.counterexample}"
-            exit_code = 3
-    return OutputDocument(text, payload, exit_code)
+        return OutputDocument(payload, exit_code)
+    text = sol.describe()
+    if report and report.ok:
+        text += f"\nverified sound and complete on universes 1..{args.max_universe}"
+    elif report:
+        text += f"\nverification FAILED: {report.counterexample}"
+    return OutputDocument(text, exit_code)
 
 
-def _elimination_payload(command: str, result, extra: dict) -> OutputDocument:
-    lines = [str(result.residual)]
-    entries = []
-    if result.form is not None:
-        _, entries = _term_entries(result.form)
-    payload = {"command": command}
-    payload.update(extra)
-    payload["residual"] = str(result.residual)
-    payload["terms"] = entries
-    return OutputDocument("\n".join(lines), payload)
+def _elimination_output(args, command: str, result, extra: dict) -> OutputDocument:
+    residual = str(result.residual)
+    if not args.json:
+        return OutputDocument(residual)
+    payload = {"command": command, **extra, "residual": residual}
+    payload["terms"] = [] if result.form is None else _term_entries(result.form)
+    return OutputDocument(payload)
 
 
 def cmd_eliminate(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     result = eliminate(eq, Symbol(args.drop))
-    return _elimination_payload(
-        "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
+    return _elimination_output(
+        args, "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
     )
 
 
@@ -163,72 +159,74 @@ def cmd_syllogism(args) -> OutputDocument:
         "premises": [str(p) for p in premises],
         "dropped": [s.name for s in drops],
     }
-    if isinstance(result, SolvedClass):
-        payload = {"command": "syllogism"}
-        payload.update(extra)
-        payload.update(_solution_payload(result))
-        return OutputDocument(result.describe(), payload)
-    return _elimination_payload("syllogism", result, extra)
+    if not isinstance(result, SolvedClass):
+        return _elimination_output(args, "syllogism", result, extra)
+    if not args.json:
+        return OutputDocument(result.describe())
+    payload = {"command": "syllogism", **extra, **_solution_payload(result)}
+    return OutputDocument(payload)
+
+
+def _indicates_its_vertex(c, syms) -> bool:
+    product = c.to_expr()
+    return free_symbols(product) == syms and eval_at(product, c.vertex()) == 1
 
 
 def cmd_partition(args) -> OutputDocument:
     syms = symbols(args.symbols)
     items = display_order(constituents(syms))
-    if len(syms) <= _PARTITION_EXPAND_LIMIT:
-        total = None
-        for c in items:
-            total = c.to_expr() if total is None else Add(total, c.to_expr())
-        sum_is_one = expand(total, syms) == LinearForm.constant(syms, 1)
-    else:
-        # The full expansion would be quadratic in 2**n; checking that each
-        # constituent's product is 1 at its own vertex still exercises the
-        # mask plumbing.
-        sum_is_one = all(eval_at(c.to_expr(), c.vertex()) == 1 for c in items)
-    lines = [str(c) for c in items]
-    lines.append("sum = 1: OK" if sum_is_one else "sum = 1: FAILED")
-    payload = {
-        "command": "partition",
-        "symbols": [s.name for s in syms],
-        "constituents": [str(c) for c in items],
-        "sum_is_one": sum_is_one,
-    }
-    return OutputDocument("\n".join(lines), payload, 0 if sum_is_one else 2)
+    # Products of literals naming every symbol, each 1 at its own one of the
+    # 2**n vertices, are those vertices' indicators, so they sum to 1.
+    masks = set(range(1 << len(syms)))
+    sum_is_one = (
+        len(items) == len(masks)
+        and {c.mask for c in items} == masks
+        and all(_indicates_its_vertex(c, syms) for c in items)
+    )
+    names = [str(c) for c in items]
+    exit_code = 0 if sum_is_one else 2
+    if args.json:
+        payload = {
+            "command": "partition",
+            "symbols": [s.name for s in syms],
+            "constituents": names,
+            "sum_is_one": sum_is_one,
+        }
+        return OutputDocument(payload, exit_code)
+    names.append("sum = 1: OK" if sum_is_one else "sum = 1: FAILED")
+    return OutputDocument("\n".join(names), exit_code)
 
 
 def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
     syms = _symbol_list(args.symbols, free_symbols(e))
     report = analyze(e, syms)
-    if report.interpretable:
-        lines = ["interpretable"]
-    else:
-        lines = ["NOT INTERPRETABLE"]
-        lines += [
-            f"coefficient {v} at {c} (condition: {c} = 0)"
-            for c, v in report.offending
-        ]
-    payload = {
-        "command": "compare",
-        "expression": format_expr(e),
-        "symbols": [s.name for s in syms],
-        "interpretable": report.interpretable,
-        "offending": [
-            {"constituent": str(c), "coefficient": _coeff_json(v)}
-            for c, v in report.offending
-        ],
-        "conditions": [str(c) for c in report.interpretability_conditions],
-    }
-    return OutputDocument("\n".join(lines), payload)
+    if args.json:
+        payload = {
+            "command": "compare",
+            "expression": format_expr(e),
+            "symbols": [s.name for s in syms],
+            "interpretable": report.interpretable,
+            "offending": [
+                {"constituent": str(c), "coefficient": _coeff_json(v)}
+                for c, v in report.offending
+            ],
+            "conditions": [str(c) for c in report.interpretability_conditions],
+        }
+        return OutputDocument(payload)
+    lines = ["interpretable" if report.interpretable else "NOT INTERPRETABLE"]
+    lines += [
+        f"coefficient {v} at {c} (condition: {c} = 0)" for c, v in report.offending
+    ]
+    return OutputDocument("\n".join(lines))
 
 
 def cmd_nyaya(args) -> OutputDocument:
     rows = negation_table()
-    lines = ["w\tnot-w"] + [f"{a}\t{b}" for a, b in rows]
-    payload = {
-        "command": "nyaya",
-        "table": [{"w": str(a), "not_w": str(b)} for a, b in rows],
-    }
-    return OutputDocument("\n".join(lines), payload)
+    if args.json:
+        table = [{"w": str(a), "not_w": str(b)} for a, b in rows]
+        return OutputDocument({"command": "nyaya", "table": table})
+    return OutputDocument("\n".join(["w\tnot-w"] + [f"{a}\t{b}" for a, b in rows]))
 
 
 def cmd_check(args) -> OutputDocument:
@@ -259,7 +257,23 @@ def cmd_check(args) -> OutputDocument:
         # A non-identity must fail somewhere once a non-empty universe is in
         # range; not finding a failure would mean algebra and oracle disagree.
         confirmed = counterexample is not None or args.max_universe < 1
+    exit_code = 0 if identity and confirmed else 3
 
+    if args.json:
+        payload = {
+            "command": "check",
+            "equation": str(eq),
+            "symbols": [s.name for s in syms],
+            "identity": identity,
+            "satisfiable": satisfiable,
+            "zero_constituents": [str(c) for c in zeros],
+            "oracle": {
+                "max_universe": args.max_universe,
+                "confirmed": confirmed,
+                "counterexample": counterexample,
+            },
+        }
+        return OutputDocument(payload, exit_code)
     lines = [f"identity: {'yes' if identity else 'no'}"]
     if not identity and counterexample:
         lines.append(f"counterexample: {counterexample}")
@@ -272,21 +286,7 @@ def cmd_check(args) -> OutputDocument:
         f"oracle: {'confirmed' if confirmed else 'DISAGREES'} "
         f"on universes 0..{args.max_universe}"
     )
-    payload = {
-        "command": "check",
-        "equation": str(eq),
-        "symbols": [s.name for s in syms],
-        "identity": identity,
-        "satisfiable": satisfiable,
-        "zero_constituents": [str(c) for c in zeros],
-        "oracle": {
-            "max_universe": args.max_universe,
-            "confirmed": confirmed,
-            "counterexample": counterexample,
-        },
-    }
-    exit_code = 0 if identity and confirmed else 3
-    return OutputDocument("\n".join(lines), payload, exit_code)
+    return OutputDocument("\n".join(lines), exit_code)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -401,10 +401,7 @@ def main(argv=None) -> int:
     except ElectiveError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(doc.payload, indent=2))
-    else:
-        print(doc.text)
+    print(json.dumps(doc.body, indent=2) if args.json else doc.body)
     return doc.exit_code
 
 

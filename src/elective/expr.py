@@ -291,35 +291,36 @@ def format_expr(e: Expr) -> str:
     of integers, since the grammar has integer literals only.
     """
 
-    def render(node: Expr, min_prec: int) -> str:
-        p = _prec(node)
+    # Pieces still to emit, next on top: literal text, or a (node, minimum
+    # precedence) pair to render.  Nothing recurses, however deep the tree.
+    out: list[str] = []
+    todo: list = [(e, _PREC_ADD)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_prec = item
         if isinstance(node, Const):
             v = node.value
-            if v >= 0 and v.denominator == 1:
-                return str(v.numerator)
-            return f"({v})"
-        if isinstance(node, Sym):
-            return node.symbol.name
-        if isinstance(node, Compl):
+            out.append(str(v.numerator) if v >= 0 and v.denominator == 1 else f"({v})")
+        elif isinstance(node, Sym):
+            out.append(node.symbol.name)
+        elif isinstance(node, Compl):
             primes = 0
             while isinstance(node, Compl):
                 node, primes = node.operand, primes + 1
-            return render(node, _PREC_POSTFIX) + "'" * primes
-        if type(node) not in _OP_TEXT:
+            todo += ("'" * primes, (node, _PREC_POSTFIX))
+        elif type(node) not in _OP_TEXT:
             raise TypeError(f"unknown expression node {node!r}")
-        # A left operand of the same precedence never takes parentheses, so
-        # the left spine is walked in a loop rather than recursed into: a
-        # long sum or product costs no stack depth per term.
-        spine = []
-        while _prec(node) == p:
-            spine.append(node)
-            node = node.left
-        parts = [render(node, p)]
-        for op in reversed(spine):
-            parts += (_OP_TEXT[type(op)], render(op.right, p + 1))
-        text = "".join(parts)
-        if p < min_prec:
-            return f"({text})"
-        return text
-
-    return render(e, _PREC_ADD)
+        else:
+            # A same-precedence left operand never takes parentheses.
+            p = _prec(node)
+            if p < min_prec:
+                out.append("(")
+                todo.append(")")
+            while _prec(node) == p:
+                todo += ((node.right, p + 1), _OP_TEXT[type(node)])
+                node = node.left
+            todo.append((node, p))
+    return "".join(out)

@@ -14,9 +14,8 @@ the expression denotes a class after all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import Coeff, Constituent, LinearForm, expand
+from .algebra import Coeff, Constituent, LinearForm, _is_class_coeff, expand
 from .errors import NotInterpretable
 from .expr import Expr, free_symbols
 
@@ -68,11 +67,7 @@ def analyze(e: Expr, syms=None) -> DivergenceReport:
     """
     order = tuple(syms) if syms is not None else free_symbols(e)
     form = expand(e, order)
-    offending = tuple(
-        (c, v)
-        for c, v in form.items()
-        if not (isinstance(v, Fraction) and v in (0, 1))
-    )
+    offending = tuple((c, v) for c, v in form.items() if not _is_class_coeff(v))
     return DivergenceReport(
         expression=e,
         offending=offending,

@@ -74,6 +74,46 @@ def random_interpretable_expr(
     return out
 
 
+def reference_display_order(items):
+    """Constituents in the traditional layout, by the rule it comes from.
+
+    Each mask is read with its bits reversed (the first symbol most
+    significant) and the results are sorted descending, so for two
+    symbols the order is xy, xy', x'y, x'y'.
+    """
+
+    def rank(c):
+        n = len(c.symbols)
+        return sum((c.mask >> i & 1) << (n - 1 - i) for i in range(n))
+
+    return tuple(sorted(items, key=rank, reverse=True))
+
+
+def naive_to_expr(form) -> Expr:
+    """A form's compact expression rebuilt term by term from fresh nodes."""
+    terms = []
+    for c in reference_display_order(constituents(form.symbols)):
+        v = form.coeff(c)
+        if v == 0:
+            continue
+        factors = [
+            Sym(s) if c.mask >> i & 1 else Compl(Sym(s))
+            for i, s in enumerate(c.symbols)
+        ]
+        if v != 1:
+            factors.insert(0, Const(v))
+        term = factors[0]
+        for f in factors[1:]:
+            term = Mul(term, f)
+        terms.append(term)
+    if not terms:
+        return Const(0)
+    out = terms[0]
+    for t in terms[1:]:
+        out = Add(out, t)
+    return out
+
+
 # -- naive oracle: every assignment, one element at a time ------------------
 #
 # The reference the package's orbit oracle is cross-checked against: it

@@ -10,7 +10,9 @@ from elective import (
     Add,
     Compl,
     Const,
+    ElectiveError,
     EmptySymbolList,
+    Equation,
     INDETERMINATE,
     Infinite,
     InvalidSymbolList,
@@ -28,11 +30,20 @@ from elective import (
     ZERO,
     constituents,
     contains_quotient,
+    display_order,
     eval_at,
     expand,
+    format_expr,
     format_linear_form,
+    solve_for,
 )
-from helpers import XYZW, oracle_vertex_value, random_expr
+from helpers import (
+    XYZW,
+    naive_to_expr,
+    oracle_vertex_value,
+    random_expr,
+    reference_display_order,
+)
 
 x, y, z, w = XYZW
 X, Y, Z = Sym(x), Sym(y), Sym(z)
@@ -220,6 +231,57 @@ def test_form_to_expr_compact():
     assert f.to_expr() == ZERO
     g = expand(Mul(Compl(X), Y), [x, y])
     assert str(g.to_expr()) == "x'*y"
+
+
+def _basis(n):
+    return tuple(Symbol(f"s{i}") for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_display_order_follows_the_bit_reversal_rule(n):
+    syms = _basis(n)
+    want = reference_display_order(constituents(syms))
+    assert display_order(constituents(syms)) == want
+    assert display_order(reversed(constituents(syms))) == want
+    # distinct coefficients, so a misplaced term shows in every view
+    f = LinearForm(syms, tuple(Fraction(m) for m in range(1 << n)))
+    assert f.display_items() == tuple((c, Fraction(c.mask)) for c in want)
+    assert format_linear_form(f) == " + ".join(f"{c.mask}*{c}" for c in want)
+
+
+def test_display_order_follows_the_rule_on_random_subsets():
+    rng = random.Random(1847)
+    for _ in range(300):
+        cs = constituents(_basis(rng.randint(1, 8)))
+        picked = rng.choices(cs, k=rng.randint(0, len(cs)))  # repeats included
+        assert display_order(picked) == reference_display_order(picked)
+
+
+def test_display_order_follows_the_rule_on_solved_groups():
+    rng = random.Random(1854)
+    checked = 0
+    for _ in range(300):
+        syms = XYZW[: rng.randint(2, 4)]
+        eq = Equation(random_expr(rng, syms, 4), random_expr(rng, syms, 3))
+        try:
+            sol = solve_for(eq, rng.choice(syms))
+        except ElectiveError:
+            continue
+        for group in (sol.included, sol.side_conditions, sol.excluded):
+            assert display_order(group) == reference_display_order(group)
+            checked += len(group) > 1
+    assert checked > 100
+
+
+def test_to_expr_matches_a_term_by_term_rebuild():
+    rng = random.Random(1815)
+    values = [Fraction(v) for v in (0, 0, 0, 1, 1, 1, 2, -1)] + [Fraction(1, 3)]
+    for _ in range(200):
+        syms = _basis(rng.randint(1, 8))
+        f = LinearForm(syms, tuple(rng.choice(values) for _ in range(1 << len(syms))))
+        got, want = f.to_expr(), naive_to_expr(f)
+        assert got == want
+        assert format_expr(got) == format_expr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from elective import Constituent, Symbol, cli, constituents
 from elective.cli import main
+from helpers import reference_display_order
 
 
 def invoke(capsys, *argv):
@@ -137,6 +139,48 @@ def test_partition(capsys):
     assert len(lines) == 9
     assert lines[0] == "x*y*z"
     assert lines[-1] == "sum = 1: OK"
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_partition_above_eight_symbols(capsys, n):
+    basis = tuple(Symbol(f"s{i}") for i in range(n))
+    code, out, _ = invoke(capsys, "partition", "--symbols", ",".join(map(str, basis)))
+    assert code == 0
+    want = [str(c) for c in reference_display_order(constituents(basis))]
+    assert out.splitlines() == want + ["sum = 1: OK"]
+
+
+def _drop_last_factor(monkeypatch):
+    # x*y*z becomes x*y: still 1 at its own vertex, but it no longer
+    # names z, so the products sum to 2 rather than 1
+    build = Constituent.to_expr
+
+    def to_expr(self):
+        return build(Constituent(self.symbols[:-1], self.mask))
+
+    monkeypatch.setattr(Constituent, "to_expr", to_expr)
+
+
+def _duplicate_a_mask(monkeypatch):
+    # mask 0 listed twice, in place of mask 1: every product is still sound
+    def duplicated(syms):
+        cs = list(constituents(syms))
+        cs[1] = cs[0]
+        return tuple(cs)
+
+    monkeypatch.setattr(cli, "constituents", duplicated)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("plant", [_drop_last_factor, _duplicate_a_mask])
+def test_partition_reports_a_planted_defect(capsys, monkeypatch, plant, n):
+    plant(monkeypatch)
+    names = ",".join(f"s{i}" for i in range(n))
+    code, out, _ = invoke(capsys, "partition", "--symbols", names)
+    assert code == 2
+    assert out.splitlines()[-1] == "sum = 1: FAILED"
+    code, out, _ = invoke(capsys, "partition", "--symbols", names, "--json")
+    assert (code, json.loads(out)["sum_is_one"]) == (2, False)
 
 
 def test_partition_symbol_cap(capsys):

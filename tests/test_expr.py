@@ -15,7 +15,9 @@ from elective import (
     Sub,
     Sym,
     Symbol,
+    SymbolNotPresent,
     ZERO,
+    eliminate,
     format_expr,
     free_symbols,
     parse_expression,
@@ -104,3 +106,36 @@ def test_deep_trees_compare_hash_and_print():
     assert len({a, b, other}) == 2
     assert Equation(a, other) == Equation(b, other)
     assert repr(a).count("Add(left=") == 2999
+
+
+def _right_nested(node, depth):
+    out = Sym(x)
+    for _ in range(depth - 1):
+        out = node(Sym(x), out)
+    return node(Sym(x), out)
+
+
+def _complemented_sums(depth):
+    out = Sym(y)
+    for _ in range(depth):
+        out = Compl(Add(Sym(x), out))
+    return out
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        (_right_nested(Add, 5000), "x + (" * 4999 + "x + x" + ")" * 4999),
+        (_right_nested(Sub, 5000), "x - (" * 4999 + "x - x" + ")" * 4999),
+        (_right_nested(Mul, 5000), "x*(" * 4999 + "x*x" + ")" * 4999),
+        (_complemented_sums(5000), "(x + " * 5000 + "y" + ")'" * 5000),
+    ],
+    ids=["add", "sub", "mul", "complemented-sum"],
+)
+def test_deep_right_nested_trees_render(tree, text):
+    # only a parenthesized right operand nests, which parsed text cannot
+    # do 5000 deep; library-built trees can
+    assert format_expr(tree) == text
+    assert str(tree) == text
+    with pytest.raises(SymbolNotPresent, match="does not occur in"):
+        eliminate(Equation(tree, ZERO), Symbol("q"))
