@@ -2,11 +2,19 @@
 
 Everything here works on explicit finite universes {0, ..., m-1} with
 subsets stored as bitmasks.  Expressions are evaluated numerically by
-substituting each symbol's 0/1 indicator value at every element, in one
-pass over the tree.  This is deliberately separate from the algebra
-module's development code: the two meet only in tests, where the
-developed coefficient at a constituent must match the numeric value on
-that constituent's region.
+substituting each symbol's 0/1 indicator value at every element.  This
+is deliberately separate from the algebra module's development code: the
+two meet only in tests, where the developed coefficient at a constituent
+must match the numeric value on that constituent's region.
+
+One evaluator serves every entry point.  It walks a tree flattened once
+into post-order, and each node holds its values at a whole row of points
+at once, as exact ints.  A point is one element of one model, and one
+pass evaluates many models side by side.  verify_solved evaluates each
+model once at m * 2**m points, one per element of each candidate class
+of the unknown, and keeps the candidates on which both sides agree at
+all m elements.  check_equation evaluates _BLOCK models per pass.
+holds is a pass at m points and eval_numeric a pass at one.
 
 Whether an equation holds in a model depends only on which constituents
 are non-empty, and on how many elements each holds; which elements they
@@ -16,9 +24,9 @@ type says which symbols an element belongs to), C(m + 2**k - 1, m) of
 them for k symbols instead of 2**(m*k) assignments.  Before enumerating,
 a check counts its work (orbits x candidate classes x tree nodes) and
 refuses with UniverseLimitExceeded above MAX_ORACLE_WORK.  That count
-bounds the work run: verify_solved evaluates each of a model's 2**m
-candidate classes once, in enumerate_solutions, and compares the classes
-the solution assembles with the ones that satisfy.
+bounds the work run: every candidate class is still evaluated at every
+element, once, and verify_solved compares the classes the solution
+assembles with the ones that satisfy.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -30,10 +38,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations_with_replacement, product
+from functools import cache, reduce
+from itertools import chain, combinations_with_replacement, islice, product, repeat
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import QuotientInOracle, SymbolNotPresent, UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
@@ -45,10 +53,14 @@ MAX_UNIVERSE = 8
 
 # Node evaluations, summed over universe sizes, that one exhaustive check
 # may plan: orbits x candidate classes (2**m for an unknown, 1 without) x
-# tree nodes.  At the slowest rate measured (about 2.7 us per node
-# evaluation, for check_equation on a 2-vCPU x86-64 host) this is about
-# eight seconds; a plan above it is refused before anything runs.
-MAX_ORACLE_WORK = 3_000_000
+# tree nodes.  At the slowest rate measured (about 0.29 us per node
+# evaluation, for verify_solved on a complement-heavy tree that keeps every
+# model, on a 2-vCPU x86-64 host) this is about seven seconds; a plan above
+# it is refused before anything runs.
+MAX_ORACLE_WORK = 25_000_000
+
+# Orbits that check_equation evaluates in one pass over the tree.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -109,45 +121,94 @@ class SetAssignment:
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _values(e: Expr, assignment: SetAssignment, elements: range) -> list:
-    """A division-free expression at each given element, in one pass.
+def _flatten(eq: Equation) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
+    """Both sides of eq in post-order, walked once for every evaluation."""
+    return tuple(_postorder(eq.lhs)), tuple(_postorder(eq.rhs))
 
-    Every node holds its values at all the elements at once, as exact
-    ints (or Fractions, once a fractional constant takes part).
+
+def _evaluate(
+    programs: tuple[tuple[Expr, ...], ...],
+    width: int,
+    columns: Mapping[Symbol, Sequence[int]],
+) -> list[list]:
+    """Each post-order program at `width` points, in one pass apiece.
+
+    A point is one element of one model; the callers lay out the models
+    of a pass one after another.  columns[s] holds symbol s's 0/1 value
+    at every point.  Every node holds its values at all the points at
+    once, as exact ints (or Fractions, once a fractional constant takes
+    part).  A symbol missing from columns, or a quotient, raises where a
+    walk of the tree first meets it.
     """
-    width = len(elements)
-    stack: list = []
-    for node in _postorder(e):
-        kind = type(node)
-        if kind is Sym:
-            mask = assignment.subset(node.symbol)
-            stack.append([mask >> i & 1 for i in elements])
-        elif kind is Const:
-            v = node.value
-            stack.append([v.numerator if v.denominator == 1 else v] * width)
-        elif kind is Compl:
-            stack.append([1 - v for v in stack.pop()])
-        elif kind is Quot:
-            raise QuotientInOracle("formal division has no pointwise set meaning")
-        else:
-            right = stack.pop()
-            stack.append(list(map(_ARITHMETIC[kind], stack.pop(), right)))
-    return stack[0]
+    results = []
+    for program in programs:
+        stack: list = []
+        for node in program:
+            kind = type(node)
+            if kind is Sym:
+                try:
+                    stack.append(columns[node.symbol])
+                except KeyError:
+                    raise SymbolNotPresent(
+                        f"assignment does not cover symbol {node.symbol}"
+                    ) from None
+            elif kind is Const:
+                v = node.value
+                stack.append([v.numerator if v.denominator == 1 else v] * width)
+            elif kind is Compl:
+                stack.append(list(map(operator.sub, repeat(1), stack.pop())))
+            elif kind is Quot:
+                raise QuotientInOracle("formal division has no pointwise set meaning")
+            else:
+                right = stack.pop()
+                stack.append(list(map(_ARITHMETIC[kind], stack.pop(), right)))
+        results.append(list(stack[0]))  # a bare symbol's column may be a tuple
+    return results
+
+
+def _bits(mask: int, m: int) -> list[int]:
+    """A subset's 0/1 indicator at elements 0..m-1."""
+    return [mask >> e & 1 for e in range(m)]
+
+
+@cache
+def _candidates(m: int) -> tuple[int, ...]:
+    """The unknown's column over all 2**m candidate classes: at point
+    (w, e), bit e of w."""
+    return tuple(w >> e & 1 for w in range(1 << m) for e in range(m))
+
+
+def _solutions(
+    sides: tuple[tuple[Expr, ...], ...], unknown: Symbol, assignment: SetAssignment
+) -> list[int]:
+    """Every w that satisfies the equation in the model, in one pass.
+
+    Point (w, e), at index w*m + e, is element e with candidate w for the
+    unknown; the other symbols take their assigned subsets at every w.
+    """
+    m = assignment.universe.size
+    count = 1 << m
+    columns = {s: _bits(mask, m) * count for s, mask in assignment.subsets.items()}
+    columns[unknown] = _candidates(m)
+    lhs, rhs = _evaluate(sides, m * count, columns)
+    return [w for w in range(count) if lhs[w * m : w * m + m] == rhs[w * m : w * m + m]]
 
 
 def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
     """Evaluate a division-free expression at one element, exactly."""
-    if element >= assignment.universe.size:
+    if not 0 <= element < assignment.universe.size:
         raise ValueError(f"element {element} outside the universe")
-    return Fraction(_values(e, assignment, range(element, element + 1))[0])
+    columns = {s: [mask >> element & 1] for s, mask in assignment.subsets.items()}
+    (values,) = _evaluate((tuple(_postorder(e)),), 1, columns)
+    return Fraction(values[0])
 
 
 def holds(eq: Equation, assignment: SetAssignment) -> bool:
     """True iff both sides agree numerically at every element."""
-    elements = range(assignment.universe.size)
-    return _values(eq.lhs, assignment, elements) == _values(
-        eq.rhs, assignment, elements
-    )
+    m = assignment.universe.size
+    columns = {s: _bits(mask, m) for s, mask in assignment.subsets.items()}
+    lhs, rhs = _evaluate(_flatten(eq), m, columns)
+    return lhs == rhs
 
 
 def region(c: Constituent, assignment: SetAssignment) -> int:
@@ -159,38 +220,47 @@ def region(c: Constituent, assignment: SetAssignment) -> int:
     return mask
 
 
+def _assignment(
+    universe: Universe, syms: tuple[Symbol, ...], types: tuple[int, ...]
+) -> SetAssignment:
+    """The model giving element e the e-th type; bit i of a type puts the
+    element in syms[i]."""
+    masks = [0] * len(syms)
+    for e, t in enumerate(types):
+        for i in range(len(syms)):
+            masks[i] |= (t >> i & 1) << e
+    return SetAssignment(universe, dict(zip(syms, masks)))
+
+
+def _orbit_types(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """One multiset of m element types over k symbols per orbit, each
+    taken in ascending order."""
+    return combinations_with_replacement(range(1 << k), m)
+
+
 def _orbits(universe: Universe, syms: tuple[Symbol, ...]) -> Iterator[SetAssignment]:
-    """One assignment per orbit of the universe's permutations.
-
-    Each multiset of m element types, taken in ascending order, gives
-    element e the e-th type; bit i of a type puts the element in syms[i].
-    """
-    k = len(syms)
-    for types in combinations_with_replacement(range(1 << k), universe.size):
-        masks = [0] * k
-        for e, t in enumerate(types):
-            for i in range(k):
-                masks[i] |= (t >> i & 1) << e
-        yield SetAssignment(universe, dict(zip(syms, masks)))
+    """One assignment per orbit of the universe's permutations."""
+    for types in _orbit_types(universe.size, len(syms)):
+        yield _assignment(universe, syms, types)
 
 
-def _models(
-    eq: Equation,
+def _plan(
+    sides: tuple[tuple[Expr, ...], ...],
     syms: tuple[Symbol, ...],
     smallest: int,
     max_universe: int,
     candidates: bool,
-) -> Iterator[SetAssignment]:
-    """Orbit representatives on universes of size smallest..max_universe.
+) -> range:
+    """The universe sizes smallest..max_universe of an exhaustive check.
 
     Refuses up front, before any enumeration, when max_universe is out of
     range or when the planned work (orbits x candidate classes x nodes of
-    eq) exceeds MAX_ORACLE_WORK.  With candidates, every model is checked
-    against all 2**m classes of an unknown.
+    both sides) exceeds MAX_ORACLE_WORK.  With candidates, every model is
+    checked against all 2**m classes of an unknown.
     """
     sizes = range(smallest, Universe(max_universe).size + 1)
     types = 1 << len(syms)
-    nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
+    nodes = sum(map(len, sides))
     work = nodes * sum(
         comb(m + types - 1, m) * (1 << m if candidates else 1) for m in sizes
     )
@@ -200,7 +270,7 @@ def _models(
             f"{max_universe} needs {work:,} node evaluations, above the "
             f"budget of {MAX_ORACLE_WORK:,}"
         )
-    return (a for m in sizes for a in _orbits(Universe(m), syms))
+    return sizes
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -220,11 +290,7 @@ def enumerate_solutions(
     """All subsets w for which the equation holds, ascending bit order."""
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
-    return [
-        w
-        for w in assignment.universe.subsets()
-        if holds(eq, assignment.with_symbol(unknown, w))
-    ]
+    return _solutions(_flatten(eq), unknown, assignment)
 
 
 @dataclass(frozen=True)
@@ -275,7 +341,8 @@ def verify_solved(
     failure of either kind is reported, soundness before completeness
     within a model.
     """
-    models = _models(eq, sol.free_symbols, 1, max_universe, True)
+    sides = _flatten(eq)
+    sizes = _plan(sides, sol.free_symbols, 1, max_universe, True)
     extras = [
         s
         for s in eq.free_symbols()
@@ -287,6 +354,7 @@ def verify_solved(
             "by the solution's free symbols"
         )
     failures: dict[str, Counterexample] = {}
+    models = (a for m in sizes for a in _orbits(Universe(m), sol.free_symbols))
     for a in models:
         if any(region(c, a) for c in sol.side_conditions):
             continue
@@ -295,7 +363,7 @@ def verify_solved(
             base |= region(c, a)
         pieces = [submasks(region(c, a)) for _, c in sol.indeterminate]
         realized = [reduce(operator.or_, v, base) for v in product(*pieces)]
-        solutions = enumerate_solutions(eq, sol.unknown, a)
+        solutions = _solutions(sides, sol.unknown, a)
         for kind, classes, allowed, note in (
             ("sound", realized, set(solutions),
              "assembled class does not satisfy the equation"),
@@ -327,9 +395,23 @@ def check_equation(
     """The first model on universes 0..max_universe where eq fails, if any.
 
     Models assign the given symbols, one per permutation orbit, smaller
-    universes first.
+    universes first.  They are evaluated _BLOCK at a time, each orbit's
+    elements one after another, so the first point where the sides
+    differ lies in the first failing model.
     """
-    for a in _models(eq, syms, 0, max_universe, False):
-        if not holds(eq, a):
-            return a
+    sides = _flatten(eq)
+    sizes = _plan(sides, syms, 0, max_universe, False)
+    # bits[i][t]: whether an element of type t lies in syms[i]
+    bits = [[t >> i & 1 for t in range(1 << len(syms))] for i in range(len(syms))]
+    orbits = chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
+    while block := list(islice(orbits, _BLOCK)):
+        points = list(chain.from_iterable(block))
+        columns = {s: list(map(b.__getitem__, points)) for s, b in zip(syms, bits)}
+        lhs, rhs = _evaluate(sides, len(points), columns)
+        if lhs != rhs:
+            first = next(p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            for types in block:
+                if first < len(types):
+                    return _assignment(Universe(len(types)), syms, types)
+                first -= len(types)
     return None

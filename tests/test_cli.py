@@ -345,10 +345,18 @@ def test_max_universe_out_of_range_is_refused(capsys, argv, exit_code, message):
 
 def test_oracle_work_budget_refusal_names_the_count(capsys):
     code, out, err = invoke(
-        capsys, "solve", "x*w = y*z", "--for", "w", "--verify", "--max-universe", "8"
+        capsys, "solve", "x*w = y*z*t", "--for", "w", "--verify", "--max-universe", "8"
     )
     assert (code, out) == (2, "")
-    assert "13,369,344 node evaluations" in err
+    assert "1,211,105,280 node evaluations" in err
+
+
+def test_solve_verify_three_free_symbols_at_the_universe_cap(capsys):
+    code, out, _ = invoke(
+        capsys, "solve", "x*w = y*z", "--for", "w", "--verify", "--max-universe", "8"
+    )
+    assert code == 0
+    assert out.endswith("verified sound and complete on universes 1..8\n")
 
 
 def test_solve_verify_reaches_the_universe_cap(capsys):

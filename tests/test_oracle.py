@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from elective import (
     SetAssignment,
     Sub,
     Sym,
+    SymbolNotPresent,
     Universe,
     UniverseLimitExceeded,
     check_equation,
@@ -65,6 +67,14 @@ def test_eval_numeric_indicator_arithmetic():
     assert eval_numeric(Mul(X, Sub(ONE, X)), a, 0) == 0
     assert eval_numeric(ONE, a, 0) == 1
     assert eval_numeric(Compl(X), a, 0) == 0
+
+
+def test_eval_numeric_rejects_elements_outside_the_universe():
+    a = assign(2, x=1)
+    for element in (-1, 2):
+        message = f"^element {element} outside the universe$"
+        with pytest.raises(ValueError, match=message):
+            eval_numeric(X, a, element)
 
 
 def test_eval_numeric_rejects_quotients():
@@ -361,40 +371,46 @@ def test_check_equation_matches_naive():
 
 
 def test_work_above_the_budget_is_refused_up_front():
-    # three free symbols at the universe cap: 13 369 344 node evaluations
-    eq = parse_equation("x*w = y*z")
+    # four free symbols at the universe cap: 1 211 105 280 node evaluations
+    eq = parse_equation("x*w = y*z*t")
     sol = solve_for(eq, w)
-    with pytest.raises(UniverseLimitExceeded, match="13,369,344"):
+    with pytest.raises(UniverseLimitExceeded, match="1,211,105,280"):
         verify_solved(sol, eq, 8)
     eq = parse_equation("a*b*c*d*e*f = f*e*d*c*b*a")
     with pytest.raises(UniverseLimitExceeded, match=f"{MAX_ORACLE_WORK:,}"):
         check_equation(eq, eq.free_symbols(), 8)
 
 
-def _counting_holds(monkeypatch):
-    """Count the oracle's calls of holds in item 0 of the returned list."""
+def _recorded_widths(monkeypatch):
+    """Record the width of every pass of the oracle's evaluator."""
     from elective import oracle
 
-    calls = [0]
-    real = oracle.holds
+    widths = []
+    real = oracle._evaluate
 
-    def counted(eq, assignment):
-        calls[0] += 1
-        return real(eq, assignment)
+    def recorded(programs, width, columns):
+        widths.append(width)
+        return real(programs, width, columns)
 
-    monkeypatch.setattr(oracle, "holds", counted)
-    return calls
+    monkeypatch.setattr(oracle, "_evaluate", recorded)
+    return widths
 
 
 def test_verify_evaluates_each_candidate_once(monkeypatch):
-    # every class satisfies x*w = w*x, so every candidate is also assembled
-    eq = parse_equation("x*w = w*x")
-    sol = solve_for(eq, w)
-    calls = _counting_holds(monkeypatch)
-    for top in range(6):
-        calls[0] = 0
-        assert verify_solved(sol, eq, top).ok
-        assert calls[0] == sum(comb(m + 1, m) * 2**m for m in range(1, top + 1))
+    # one pass per kept model, at m points for each of its 2**m candidates:
+    # every model of x*w = w*x is kept; x*w = y keeps the models without an
+    # element of its side-condition type x'*y, C(m + 2, m) of them
+    widths = _recorded_widths(monkeypatch)
+    for text, kept_types in (("x*w = w*x", 2), ("x*w = y", 3)):
+        eq = parse_equation(text)
+        sol = solve_for(eq, w)
+        for top in range(6):
+            widths.clear()
+            assert verify_solved(sol, eq, top).ok
+            kept = [comb(m + kept_types - 1, m) for m in range(top + 1)]
+            assert widths == [
+                m * 2**m for m in range(1, top + 1) for _ in range(kept[m])
+            ]
 
 
 @pytest.mark.parametrize(
@@ -408,17 +424,126 @@ def test_verify_evaluates_each_candidate_once(monkeypatch):
     ],
 )
 def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
+    # each pass is one model of size m at m*2**m points: its points / m
+    # candidates times the tree's nodes is the work the plan counts for it
     from elective.expr import _postorder
 
     eq = parse_equation(text)
     nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
-    calls = _counting_holds(monkeypatch)
+    widths = _recorded_widths(monkeypatch)
+    candidates = {m * 2**m: 2**m for m in range(1, 9)}
     for name, sol in _corruptions(solve_for(eq, w, basis)).items():
         types = 2 ** len(sol.free_symbols)
         for top in range(5):
-            calls[0] = 0
+            widths.clear()
             verify_solved(sol, eq, top)
             planned = nodes * sum(
                 comb(m + types - 1, m) * 2**m for m in range(1, top + 1)
             )
-            assert calls[0] * nodes <= planned, (name, top)
+            assert set(widths) <= set(candidates), (name, top)
+            work = nodes * sum(candidates[n] for n in widths)
+            assert work <= planned, (name, top)
+            if name == "exact" and not sol.side_conditions:
+                assert work == planned, (name, top)
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [("x*y = y*x", 2), ("x + y' = y' + x", 2), ("x*y*z = z*(y*x)", 3), ("x = x*y", 2)],
+)
+def test_check_work_stays_within_its_plan(monkeypatch, text, k):
+    # an orbit on m elements is m points, so each universe size's share of
+    # the points is m x its planned orbits; an identity evaluates them all
+    eq = parse_equation(text)
+    syms = XYZW[:k]
+    widths = _recorded_widths(monkeypatch)
+    for top in range(5):
+        widths.clear()
+        model = check_equation(eq, syms, top)
+        planned = sum(m * comb(m + 2**k - 1, m) for m in range(top + 1))
+        assert sum(widths) <= planned, top
+        if model is None:
+            assert sum(widths) == planned, top
+
+
+def _random_equation(rng, syms):
+    """Two random sides, one with a fractional multiple of a subtree."""
+    lhs = random_expr(rng, syms, 3)
+    rhs = random_expr(rng, syms, 3)
+    if rng.random() < 0.5:
+        scale = Const(Fraction(rng.choice((-5, -1, 1, 3, 7)), rng.choice((2, 3, 4))))
+        rhs = Sub(rhs, Mul(scale, random_expr(rng, syms, 2)))
+    return Equation(lhs, rhs) if rng.random() < 0.5 else Equation(rhs, lhs)
+
+
+def test_enumerate_solutions_matches_per_candidate_reference():
+    rng = random.Random(1815)
+    solvable = 0
+    for _ in range(400):
+        k = rng.randint(0, 3)
+        eq = _random_equation(rng, XYZW[:k] + (w,))
+        m = rng.randint(0, 4)
+        a = SetAssignment(Universe(m), {s: rng.randrange(1 << m) for s in XYZW[:k]})
+        naive = [
+            c for c in Universe(m).subsets() if naive_holds(eq, a.with_symbol(w, c))
+        ]
+        assert enumerate_solutions(eq, w, a) == naive, (str(eq), a.describe())
+        solvable += bool(naive) and len(naive) < 2**m
+    assert solvable > 40
+
+
+@pytest.mark.parametrize(
+    "m, subsets, error, message",
+    [
+        (0, {}, SymbolNotPresent, "assignment does not cover symbol x"),
+        (2, {}, SymbolNotPresent, "assignment does not cover symbol x"),
+        (0, {x: 0}, QuotientInOracle, "formal division has no pointwise set meaning"),
+        (2, {x: 1}, QuotientInOracle, "formal division has no pointwise set meaning"),
+    ],
+)
+def test_oracle_errors_come_from_the_first_offending_node(m, subsets, error, message):
+    # post-order meets x before the quotient x/x, at every universe size
+    eq = parse_equation("w = x/x")
+    a = SetAssignment(Universe(m), subsets)
+    with pytest.raises(error, match=f"^{message}$"):
+        enumerate_solutions(eq, w, a)
+    with pytest.raises(error, match=f"^{message}$"):
+        holds(eq, a.with_symbol(w, 0))
+    with pytest.raises(error, match=f"^{message}$"):
+        check_equation(eq, (w, x)[: 1 + len(subsets)], m)
+
+
+def _first_failure(eq, syms, max_universe):
+    """The index, in _orbits order over all sizes, and model of the first failure."""
+    index = 0
+    for m in range(max_universe + 1):
+        for a in _orbits(Universe(m), syms):
+            if not naive_holds(eq, a):
+                return index, a
+            index += 1
+    return None
+
+
+def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
+    # with the block size set around the first failing orbit, that orbit is
+    # the last of one pass and then the first of the next
+    from elective import oracle
+
+    rng = random.Random(1864)
+    boundaries = 0
+    for k, max_m in ((1, 4), (2, 4), (3, 3)):
+        syms = XYZW[:k]
+        for _ in range(25):
+            eq = Equation(random_expr(rng, syms, 3), random_expr(rng, syms, 3))
+            first = _first_failure(eq, syms, max_m)
+            if first is None:
+                assert check_equation(eq, syms, max_m) is None
+                continue
+            index, model = first
+            for block in {index, index + 1} - {0}:
+                monkeypatch.setattr(oracle, "_BLOCK", block)
+                found = check_equation(eq, syms, max_m)
+                assert found.universe.size == model.universe.size
+                assert found.describe() == model.describe()
+                boundaries += 1
+    assert boundaries > 60
