@@ -154,9 +154,20 @@ def _display_masks(n: int) -> list[int]:
     return order
 
 
+def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
+    if c.symbols != syms:
+        raise SymbolListMismatch(
+            f"constituent {c} is over {[s.name for s in c.symbols]}, "
+            f"not {[s.name for s in syms]}"
+        )
+
+
 def display_order(items: Iterable[Constituent]) -> tuple[Constituent, ...]:
-    """Constituents in the traditional layout: all-plain first."""
+    """Constituents over one symbol list in the traditional layout:
+    all-plain first."""
     items = tuple(items)
+    for c in items:
+        _require_basis(c, items[0].symbols)
     masks = _display_masks(len(items[0].symbols) if items else 0)
     rank = {m: r for r, m in enumerate(masks)}
     return tuple(sorted(items, key=lambda c: rank[c.mask]))
@@ -292,8 +303,14 @@ class LinearForm:
         return cls.constant(syms, 0)
 
     def coeff(self, c: Constituent | int) -> Coeff:
-        mask = c.mask if isinstance(c, Constituent) else c
-        return self.coeffs[mask]
+        """The coefficient of a constituent over this form's symbols, or of
+        a mask in 0..2**n - 1."""
+        if isinstance(c, Constituent):
+            _require_basis(c, self.symbols)
+            return self.coeffs[c.mask]
+        if not 0 <= c < len(self.coeffs):
+            raise ValueError(f"mask {c} outside 0..{len(self.coeffs) - 1}")
+        return self.coeffs[c]
 
     def items(self) -> Iterator[tuple[Constituent, Coeff]]:
         """(constituent, coefficient) pairs in ascending mask order."""

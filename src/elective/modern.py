@@ -26,11 +26,15 @@ class DivergenceReport:
 
     expression: Expr
     offending: tuple[tuple[Constituent, Coeff], ...]
-    interpretability_conditions: tuple[Constituent, ...]
 
     @property
     def interpretable(self) -> bool:
         return not self.offending
+
+    @property
+    def interpretability_conditions(self) -> tuple[Constituent, ...]:
+        """The offending constituents: e denotes a class when all are empty."""
+        return tuple(c for c, _ in self.offending)
 
 
 def _require_interpretable(f: LinearForm, name: str) -> LinearForm:
@@ -67,9 +71,9 @@ def analyze(e: Expr, syms=None) -> DivergenceReport:
     """
     order = tuple(syms) if syms is not None else free_symbols(e)
     form = expand(e, order)
-    offending = tuple((c, v) for c, v in form.items() if not _is_class_coeff(v))
-    return DivergenceReport(
-        expression=e,
-        offending=offending,
-        interpretability_conditions=tuple(c for c, _ in offending),
+    offending = tuple(
+        (Constituent(form.symbols, m), v)
+        for m, v in enumerate(form.coeffs)
+        if not _is_class_coeff(v)
     )
+    return DivergenceReport(expression=e, offending=offending)

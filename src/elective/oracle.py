@@ -1,11 +1,11 @@
 """Brute-force set semantics: the independent ground truth.
 
-Everything here works on explicit finite universes {0, ..., m-1} with
-subsets stored as bitmasks.  Expressions are evaluated numerically by
-substituting each symbol's 0/1 indicator value at every element.  This
-is deliberately separate from the algebra module's development code: the
-two meet only in tests, where the developed coefficient at a constituent
-must match the numeric value on that constituent's region.
+Everything here works on explicit finite universes {0, ..., m-1}.
+Expressions are evaluated numerically by substituting each symbol's 0/1
+indicator value at every element.  This is deliberately separate from
+the algebra module's development code: the two meet only in tests, where
+the developed coefficient at a constituent must match the numeric value
+on that constituent's region.
 
 One evaluator serves every entry point.  It walks a tree flattened once
 into post-order, and each node holds its values at a whole row of points
@@ -16,17 +16,19 @@ of the unknown, and keeps the candidates on which both sides agree at
 all m elements.  check_equation evaluates _BLOCK models per pass.
 holds is a pass at m points and eval_numeric a pass at one.
 
-Whether an equation holds in a model depends only on which constituents
-are non-empty, and on how many elements each holds; which elements they
-are does not matter.  So the exhaustive checks visit one assignment per
-orbit of the universe's permutations: a multiset of m element types (a
-type says which symbols an element belongs to), C(m + 2**k - 1, m) of
-them for k symbols instead of 2**(m*k) assignments.  Before enumerating,
-a check counts its work (orbits x candidate classes x tree nodes) and
-refuses with UniverseLimitExceeded above MAX_ORACLE_WORK.  That count
-bounds the work run: every candidate class is still evaluated at every
-element, once, and verify_solved compares the classes the solution
-assembles with the ones that satisfy.
+Whether an equation holds in a model depends only on how many elements
+each constituent holds, not on which ones.  So the exhaustive checks
+visit one model per orbit of the universe's permutations, C(m + 2**k - 1,
+m) of them for k symbols instead of 2**(m*k): an ascending tuple of m
+element types, where bit i of a type puts its element in the i-th
+symbol.  Such tuples are the only model representation from the plan
+to the evaluator.  Columns are read off the types, and an element lies
+in the constituent whose mask equals its type, which is the set meaning
+of a constituent.  A SetAssignment (subsets as bitmasks) is built only
+for a model that is reported.  Before enumerating, a check counts its
+work (orbits x candidate classes x tree nodes) and refuses with
+UniverseLimitExceeded above MAX_ORACLE_WORK.  That count bounds the
+work run: every candidate class is evaluated at every element, once.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -43,10 +45,10 @@ from itertools import chain, combinations_with_replacement, islice, product, rep
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
-from .errors import QuotientInOracle, SymbolNotPresent, UniverseLimitExceeded
+from .errors import QuotientInOracle, SymbolListMismatch, SymbolNotPresent
+from .errors import UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
 from .expr import _postorder
-from .algebra import Constituent
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
@@ -166,9 +168,22 @@ def _evaluate(
     return results
 
 
-def _bits(mask: int, m: int) -> list[int]:
-    """A subset's 0/1 indicator at elements 0..m-1."""
-    return [mask >> e & 1 for e in range(m)]
+def _bits(assignment: SetAssignment) -> dict[Symbol, list[int]]:
+    """Each assigned symbol's 0/1 indicator at elements 0..m-1."""
+    elements = range(assignment.universe.size)
+    subsets = assignment.subsets.items()
+    return {s: [mask >> e & 1 for e in elements] for s, mask in subsets}
+
+
+def _columns(syms: tuple[Symbol, ...], types: Sequence[int]) -> dict[Symbol, list[int]]:
+    """Each symbol's 0/1 value at elements of the given types; bit i of a
+    type puts the element in syms[i]."""
+    return {s: [t >> i & 1 for t in types] for i, s in enumerate(syms)}
+
+
+def _members(types: Sequence[int], masks: set[int]) -> int:
+    """The elements, as a bitmask, whose type is one of masks."""
+    return sum(1 << e for e, t in enumerate(types) if t in masks)
 
 
 @cache
@@ -179,18 +194,21 @@ def _candidates(m: int) -> tuple[int, ...]:
 
 
 def _solutions(
-    sides: tuple[tuple[Expr, ...], ...], unknown: Symbol, assignment: SetAssignment
+    sides: tuple[tuple[Expr, ...], ...],
+    unknown: Symbol,
+    columns: Mapping[Symbol, list[int]],
+    m: int,
 ) -> list[int]:
-    """Every w that satisfies the equation in the model, in one pass.
+    """Every w that satisfies the equation in an m-element model, in one pass.
 
-    Point (w, e), at index w*m + e, is element e with candidate w for the
-    unknown; the other symbols take their assigned subsets at every w.
+    columns[s] is symbol s's 0/1 value at each element.  Point (w, e), at
+    index w*m + e, is element e with candidate w for the unknown; the
+    other symbols keep their columns at every w.
     """
-    m = assignment.universe.size
     count = 1 << m
-    columns = {s: _bits(mask, m) * count for s, mask in assignment.subsets.items()}
-    columns[unknown] = _candidates(m)
-    lhs, rhs = _evaluate(sides, m * count, columns)
+    wide = {s: column * count for s, column in columns.items()}
+    wide[unknown] = _candidates(m)
+    lhs, rhs = _evaluate(sides, m * count, wide)
     return [w for w in range(count) if lhs[w * m : w * m + m] == rhs[w * m : w * m + m]]
 
 
@@ -205,31 +223,17 @@ def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
 
 def holds(eq: Equation, assignment: SetAssignment) -> bool:
     """True iff both sides agree numerically at every element."""
-    m = assignment.universe.size
-    columns = {s: _bits(mask, m) for s, mask in assignment.subsets.items()}
-    lhs, rhs = _evaluate(_flatten(eq), m, columns)
+    lhs, rhs = _evaluate(_flatten(eq), assignment.universe.size, _bits(assignment))
     return lhs == rhs
 
 
-def region(c: Constituent, assignment: SetAssignment) -> int:
-    """The elements lying in a constituent: meet of factors as a bitmask."""
-    mask = assignment.universe.full
-    for i, s in enumerate(c.symbols):
-        sub = assignment.subset(s)
-        mask &= sub if c.takes(i) else assignment.universe.full & ~sub
-    return mask
-
-
-def _assignment(
-    universe: Universe, syms: tuple[Symbol, ...], types: tuple[int, ...]
-) -> SetAssignment:
-    """The model giving element e the e-th type; bit i of a type puts the
-    element in syms[i]."""
-    masks = [0] * len(syms)
-    for e, t in enumerate(types):
-        for i in range(len(syms)):
-            masks[i] |= (t >> i & 1) << e
-    return SetAssignment(universe, dict(zip(syms, masks)))
+def _assignment(syms: tuple[Symbol, ...], types: tuple[int, ...]) -> SetAssignment:
+    """The model giving element e the e-th type, as subsets."""
+    subsets = {
+        s: sum(1 << e for e, t in enumerate(types) if t >> i & 1)
+        for i, s in enumerate(syms)
+    }
+    return SetAssignment(Universe(len(types)), subsets)
 
 
 def _orbit_types(m: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -238,20 +242,15 @@ def _orbit_types(m: int, k: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(1 << k), m)
 
 
-def _orbits(universe: Universe, syms: tuple[Symbol, ...]) -> Iterator[SetAssignment]:
-    """One assignment per orbit of the universe's permutations."""
-    for types in _orbit_types(universe.size, len(syms)):
-        yield _assignment(universe, syms, types)
-
-
 def _plan(
     sides: tuple[tuple[Expr, ...], ...],
     syms: tuple[Symbol, ...],
     smallest: int,
     max_universe: int,
     candidates: bool,
-) -> range:
-    """The universe sizes smallest..max_universe of an exhaustive check.
+) -> Iterator[tuple[int, ...]]:
+    """The orbits, on universes smallest..max_universe, of an exhaustive
+    check: one tuple of element types each, smaller universes first.
 
     Refuses up front, before any enumeration, when max_universe is out of
     range or when the planned work (orbits x candidate classes x nodes of
@@ -270,7 +269,7 @@ def _plan(
             f"{max_universe} needs {work:,} node evaluations, above the "
             f"budget of {MAX_ORACLE_WORK:,}"
         )
-    return sizes
+    return chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -290,7 +289,9 @@ def enumerate_solutions(
     """All subsets w for which the equation holds, ascending bit order."""
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
-    return _solutions(_flatten(eq), unknown, assignment)
+    return _solutions(
+        _flatten(eq), unknown, _bits(assignment), assignment.universe.size
+    )
 
 
 @dataclass(frozen=True)
@@ -329,11 +330,12 @@ def verify_solved(
 ) -> VerificationReport:
     """Exhaustively check a solved class against its source equation.
 
-    Quantifies over every universe of size 1..max_universe, every
-    assignment of the solution's free symbols (one per permutation orbit)
-    that satisfies all side conditions (each side-condition constituent
-    empty), and every valuation of the v-symbols (each ranging over
-    subsets of its constituent's region).
+    Quantifies over every universe of size 1..max_universe, every model
+    of the solution's free symbols (one per permutation orbit) in which
+    each side-condition constituent is empty, and every valuation of the
+    v-symbols (each ranging over subsets of its constituent's elements).
+    Every grouped constituent must be over the free symbols, or the
+    check is refused with SymbolListMismatch.
 
     Each kept model's solutions are enumerated once and compared with
     the assembled classes.  sound: every assembled class is a solution.
@@ -342,28 +344,33 @@ def verify_solved(
     within a model.
     """
     sides = _flatten(eq)
-    sizes = _plan(sides, sol.free_symbols, 1, max_universe, True)
-    extras = [
-        s
-        for s in eq.free_symbols()
-        if s != sol.unknown and s not in sol.free_symbols
-    ]
+    syms = sol.free_symbols
+    orbits = _plan(sides, syms, 1, max_universe, True)
+    extras = [s for s in eq.free_symbols() if s != sol.unknown and s not in syms]
     if extras:
         raise SymbolNotPresent(
             f"equation symbols {[s.name for s in extras]} are not covered "
             "by the solution's free symbols"
         )
+    pieces = [c for _, c in sol.indeterminate]
+    for c in chain(sol.included, pieces, sol.side_conditions, sol.excluded):
+        if c.symbols != syms:
+            raise SymbolListMismatch(
+                f"constituent {c} is over {[s.name for s in c.symbols]}, not "
+                f"the solution's free symbols {[s.name for s in syms]}"
+            )
+    included = {c.mask for c in sol.included}
+    side = {c.mask for c in sol.side_conditions}
     failures: dict[str, Counterexample] = {}
-    models = (a for m in sizes for a in _orbits(Universe(m), sol.free_symbols))
-    for a in models:
-        if any(region(c, a) for c in sol.side_conditions):
+    for types in orbits:
+        if side.intersection(types):
             continue
-        base = 0
-        for c in sol.included:
-            base |= region(c, a)
-        pieces = [submasks(region(c, a)) for _, c in sol.indeterminate]
-        realized = [reduce(operator.or_, v, base) for v in product(*pieces)]
-        solutions = _solutions(sides, sol.unknown, a)
+        m = len(types)
+        # an element lies in the constituent whose mask is its type
+        base = _members(types, included)
+        valuations = product(*(submasks(_members(types, {c.mask})) for c in pieces))
+        realized = [reduce(operator.or_, v, base) for v in valuations]
+        solutions = _solutions(sides, sol.unknown, _columns(syms, types), m)
         for kind, classes, allowed, note in (
             ("sound", realized, set(solutions),
              "assembled class does not satisfy the equation"),
@@ -372,13 +379,9 @@ def verify_solved(
         ):
             witness = next((w for w in classes if w not in allowed), None)
             if witness is not None and kind not in failures:
+                a = _assignment(syms, types)
                 failures[kind] = Counterexample(
-                    kind,
-                    a.universe.size,
-                    tuple(a.subsets.items()),
-                    sol.unknown,
-                    witness,
-                    note,
+                    kind, m, tuple(a.subsets.items()), sol.unknown, witness, note
                 )
         if len(failures) == 2:
             break
@@ -400,18 +403,14 @@ def check_equation(
     differ lies in the first failing model.
     """
     sides = _flatten(eq)
-    sizes = _plan(sides, syms, 0, max_universe, False)
-    # bits[i][t]: whether an element of type t lies in syms[i]
-    bits = [[t >> i & 1 for t in range(1 << len(syms))] for i in range(len(syms))]
-    orbits = chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
+    orbits = _plan(sides, syms, 0, max_universe, False)
     while block := list(islice(orbits, _BLOCK)):
         points = list(chain.from_iterable(block))
-        columns = {s: list(map(b.__getitem__, points)) for s, b in zip(syms, bits)}
-        lhs, rhs = _evaluate(sides, len(points), columns)
+        lhs, rhs = _evaluate(sides, len(points), _columns(syms, points))
         if lhs != rhs:
             first = next(p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             for types in block:
                 if first < len(types):
-                    return _assignment(Universe(len(types)), syms, types)
+                    return _assignment(syms, types)
                 first -= len(types)
     return None

@@ -10,6 +10,7 @@ from elective import (
     Add,
     Compl,
     Const,
+    Constituent,
     Equation,
     Expr,
     Mul,
@@ -21,7 +22,6 @@ from elective import (
     Universe,
     constituents,
     eval_numeric,
-    region,
     submasks,
 )
 
@@ -125,6 +125,15 @@ def assignments(universe: Universe, syms: tuple[Symbol, ...]):
     """Every assignment of the given symbols, first symbol slowest."""
     for choice in product(universe.subsets(), repeat=len(syms)):
         yield SetAssignment(universe, dict(zip(syms, choice)))
+
+
+def region(c: Constituent, a: SetAssignment) -> int:
+    """The elements lying in a constituent: meet of factors as a bitmask."""
+    mask = a.universe.full
+    for i, s in enumerate(c.symbols):
+        sub = a.subset(s)
+        mask &= sub if c.takes(i) else a.universe.full & ~sub
+    return mask
 
 
 def naive_value(e: Expr, a: SetAssignment, element: int):

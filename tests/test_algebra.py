@@ -10,6 +10,7 @@ from elective import (
     Add,
     Compl,
     Const,
+    Constituent,
     ElectiveError,
     EmptySymbolList,
     Equation,
@@ -192,6 +193,23 @@ def test_form_ops_reject_mismatched_symbols():
         expand(X, [x]) + expand(Y, [y])
 
 
+def test_coeff_reads_constituents_of_its_own_basis():
+    f = expand(Mul(X, Compl(Y)), (x, y))
+    assert f.coeff(Constituent((x, y), 1)) == 1 and f.coeff(1) == 1
+    # y*x' is mask 1 over (y, x), but it lies where x*y' has coefficient 0
+    for other in (Constituent((y, x), 1), Constituent((x,), 1), Constituent((x, z), 1)):
+        with pytest.raises(SymbolListMismatch):
+            f.coeff(other)
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 20])
+def test_coeff_refuses_masks_outside_the_basis(mask):
+    f = expand(Mul(X, Compl(Y)), (x, y))
+    with pytest.raises(ValueError, match=rf"^mask {mask} outside 0\.\.3$"):
+        f.coeff(mask)
+    assert [f.coeff(m) for m in range(4)] == list(f.coeffs)
+
+
 def test_form_ops_reject_extended_coefficients():
     f = expand(Quot(Y, X), [x, y])
     with pytest.raises(UninterpretableNesting):
@@ -255,6 +273,19 @@ def test_display_order_follows_the_rule_on_random_subsets():
         cs = constituents(_basis(rng.randint(1, 8)))
         picked = rng.choices(cs, k=rng.randint(0, len(cs)))  # repeats included
         assert display_order(picked) == reference_display_order(picked)
+
+
+def test_display_order_refuses_constituents_over_different_symbol_lists():
+    # one layout ranks masks of one basis; a mask of another means
+    # another constituent, so a mixed list is refused, however it is ordered
+    for mixed in (
+        [Constituent((x,), 1), Constituent((x, y), 3)],
+        [Constituent((x, y), 3), Constituent((x,), 1)],
+        [Constituent((x, y), 1), Constituent((y, x), 2)],
+    ):
+        with pytest.raises(SymbolListMismatch):
+            display_order(mixed)
+    assert display_order([]) == ()
 
 
 def test_display_order_follows_the_rule_on_solved_groups():

@@ -1,5 +1,6 @@
 """Set-semantics ground truth: numeric evaluation, models, verification."""
 
+import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ from elective import (
     Add,
     Compl,
     Const,
+    Constituent,
     ElectiveError,
     Equation,
     Mul,
@@ -20,6 +22,7 @@ from elective import (
     SetAssignment,
     Sub,
     Sym,
+    SymbolListMismatch,
     SymbolNotPresent,
     Universe,
     UniverseLimitExceeded,
@@ -29,12 +32,11 @@ from elective import (
     expand,
     holds,
     parse_equation,
-    region,
     solve_for,
     submasks,
     verify_solved,
 )
-from elective.oracle import MAX_ORACLE_WORK, _orbits
+from elective.oracle import MAX_ORACLE_WORK, _assignment, _orbit_types
 from helpers import (
     XYZW,
     assignments,
@@ -43,6 +45,7 @@ from helpers import (
     naive_verify,
     random_expr,
     random_interpretable_expr,
+    region,
 )
 
 x, y, z, w = XYZW
@@ -252,7 +255,8 @@ def test_max_universe_validated_before_enumeration():
 def test_orbit_counts_are_multisets_of_types(k):
     syms = XYZW[:k]
     for m in range(9):
-        assert sum(1 for _ in _orbits(Universe(m), syms)) == comb(m + 2**k - 1, m)
+        orbits = (_assignment(syms, types) for types in _orbit_types(m, k))
+        assert sum(1 for _ in orbits) == comb(m + 2**k - 1, m)
 
 
 def _type_multiset(a, syms):
@@ -267,7 +271,10 @@ def _type_multiset(a, syms):
 def test_orbits_take_one_assignment_per_permutation_class(k, max_m):
     syms = XYZW[:k]
     for m in range(max_m + 1):
-        orbits = [_type_multiset(a, syms) for a in _orbits(Universe(m), syms)]
+        orbits = [
+            _type_multiset(_assignment(syms, types), syms)
+            for types in _orbit_types(m, k)
+        ]
         naive = {_type_multiset(a, syms) for a in assignments(Universe(m), syms)}
         assert len(set(orbits)) == len(orbits)
         assert set(orbits) == naive
@@ -447,6 +454,91 @@ def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
                 assert work == planned, (name, top)
 
 
+def _over_basis(sol, group, basis):
+    """sol with the lowest-mask constituent of one group rebuilt over basis."""
+
+    def moved(c):
+        return Constituent(basis, c.mask % 2 ** len(basis))
+
+    if group == "indeterminate":
+        (v, c), *rest = sol.indeterminate
+        return replace(sol, indeterminate=((v, moved(c)), *rest))
+    members = getattr(sol, group)
+    c = min(members, key=lambda c: c.mask)
+    return replace(sol, **{group: members - {c} | {moved(c)}})
+
+
+@pytest.mark.parametrize(
+    "basis", [(y, x), (x, z), (x,)], ids=["permuted", "other", "shorter"]
+)
+@pytest.mark.parametrize(
+    "group", ["included", "indeterminate", "side_conditions", "excluded"]
+)
+def test_verify_refuses_constituents_over_another_basis(monkeypatch, group, basis):
+    # x*w = y has one constituent of (x, y) in each group; a model's
+    # elements are matched to a constituent by its mask, which means
+    # nothing over another symbol list, so that is refused before any pass
+    eq = parse_equation("x*w = y")
+    sol = _over_basis(solve_for(eq, w), group, basis)
+    widths = _recorded_widths(monkeypatch)
+    with pytest.raises(SymbolListMismatch, match=r"not the solution's free symbols"):
+        verify_solved(sol, eq, 3)
+    assert widths == []
+
+
+def test_only_a_reported_model_becomes_a_set_assignment(monkeypatch):
+    # models stay tuples of element types; one SetAssignment is built per
+    # counterexample reported, and none for a verification that passes
+    from elective import oracle
+
+    built = []
+    real = oracle._assignment
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_assignment", counted)
+    cases = (("x*w = y", None), ("w*x' = y*w", None), ("x*w = z", (x, y, z)))
+    for text, basis in cases:
+        eq = parse_equation(text)
+        for name, sol in _corruptions(solve_for(eq, w, basis)).items():
+            built.clear()
+            report = verify_solved(sol, eq, 4)
+            assert len(built) == (not report.sound) + (not report.complete), name
+            if name == "exact":
+                assert report.ok and built == []
+    built.clear()
+    assert check_equation(parse_equation("x*y = y*x"), (x, y), 5) is None
+    assert built == []
+    assert check_equation(parse_equation("x*y = x"), (x, y), 5) is not None
+    assert len(built) == 1
+
+
+def test_oracle_takes_only_data_types_from_algebra_and_inference():
+    # the oracle stays independent of the development it checks: the only
+    # names it may take from algebra and inference are the types it reads
+    from pathlib import Path
+
+    from elective import oracle
+
+    taken = {}
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "elective" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "elective"
+        ):
+            module = node.module if node.level else node.module.partition(".")[2]
+            assert module, "import a submodule by name, not the package"
+            taken.setdefault(module, set()).update(a.name for a in node.names)
+    assert set(taken) <= {"errors", "expr", "algebra", "inference"}
+    assert taken.get("algebra", set()) | taken.get("inference", set()) <= {
+        "Constituent",
+        "SolvedClass",
+    }
+
+
 @pytest.mark.parametrize(
     "text, k",
     [("x*y = y*x", 2), ("x + y' = y' + x", 2), ("x*y*z = z*(y*x)", 3), ("x = x*y", 2)],
@@ -514,10 +606,11 @@ def test_oracle_errors_come_from_the_first_offending_node(m, subsets, error, mes
 
 
 def _first_failure(eq, syms, max_universe):
-    """The index, in _orbits order over all sizes, and model of the first failure."""
+    """The index, in orbit order over all sizes, and model of the first failure."""
     index = 0
     for m in range(max_universe + 1):
-        for a in _orbits(Universe(m), syms):
+        for types in _orbit_types(m, len(syms)):
+            a = _assignment(syms, types)
             if not naive_holds(eq, a):
                 return index, a
             index += 1
