@@ -12,10 +12,16 @@ complemented one.  This module computes that development by evaluating
 the tree once at all 2**n vertices together, which makes the index law
 (x**n = x), distributivity and commutativity hold by construction.
 
-Coefficients are exact rationals (fractions.Fraction).  Developing a
-quotient can additionally produce the two extended values 0/0
-(Indeterminate) and k/0 (Infinite); both are terminal: they may sit in a
-developed form but never feed further arithmetic.
+Coefficients are exact rationals (fractions.Fraction).  Inside the pass
+values stay ints wherever they are integral, exact quotients included;
+only a non-integral quotient or a fractional constant brings in a
+Fraction.  By the development theorem every coefficient is a value of
+the expression at a vertex, and a form over 2**n constituents takes few
+distinct values, so `expand` makes one shared Fraction per distinct
+value.  Developing a quotient can additionally produce the two extended
+values 0/0 (Indeterminate) and k/0 (Infinite, one per distinct k in a
+pass); both are terminal: they may sit in a developed form but never
+feed further arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -130,9 +136,12 @@ class Constituent:
         return _product(_literals(self.symbols), self.mask)
 
     def __str__(self) -> str:
+        mask = self.mask
         return "*".join(
-            s.name if self.takes(i) else f"{s.name}'"
-            for i, s in enumerate(self.symbols)
+            [
+                s.name if mask >> i & 1 else f"{s.name}'"
+                for i, s in enumerate(self.symbols)
+            ]
         )
 
 
@@ -142,16 +151,24 @@ def constituents(syms) -> tuple[Constituent, ...]:
     return tuple(Constituent(order, m) for m in range(1 << len(order)))
 
 
-def _display_masks(n: int) -> list[int]:
-    """The masks over n symbols in the traditional layout (xy, xy', x'y, x'y').
+def _display_masks(n: int) -> Iterator[int]:
+    """The masks over n symbols in the traditional layout (xy, xy', x'y, x'y'),
+    one at a time.
 
     Each doubling puts the masks that take symbol i before those that do
-    not, so the first symbol, doubled last, varies slowest.
+    not, so the first symbol, doubled last, varies slowest.  The layout of
+    the first half of the symbols is the slow half of the mask, so two
+    tables of 2**(n/2) masks give all 2**n.
     """
-    order = [0]
-    for i in reversed(range(n)):
-        order = [m | 1 << i for m in order] + order
-    return order
+
+    def layout(bits: range) -> list[int]:
+        order = [0]
+        for i in reversed(bits):
+            order = [m | 1 << i for m in order] + order
+        return order
+
+    high, low = layout(range(n // 2)), layout(range(n // 2, n))
+    return chain.from_iterable(map(h.__or__, low) for h in high)
 
 
 def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
@@ -223,14 +240,16 @@ def _evaluate(e: Expr, width: int, value) -> tuple[list, dict, dict]:
     """The values of e at `width` points, in one post-order pass.
 
     value(s) gives symbol s's values.  A node's value is a list with one
-    int or Fraction per point, holding 0 where the node takes an extended
-    value; those are kept aside by point.  An extended operand fails its
-    point, which keeps its first failure as (value, context) for
-    _require_finite.  Returns the root's values, its extended values and
-    the failures, early once every point has failed.
+    int or Fraction per point (an int wherever the value is integral),
+    holding 0 where the node takes an extended value; those are kept
+    aside by point, one object per distinct value in the pass.  An
+    extended operand fails its point, which keeps its first failure as
+    (value, context) for _require_finite.  Returns the root's values, its
+    extended values and the failures, early once every point has failed.
     """
     stack: list[tuple[list, dict]] = []
     failed: dict[int, tuple[Coeff, str]] = {}
+    specials: dict = {0: INDETERMINATE}  # x/0 by numerator x
     for node in _postorder(e):
         kind = type(node)
         if kind is Sym:
@@ -251,13 +270,22 @@ def _evaluate(e: Expr, width: int, value) -> tuple[list, dict, dict]:
         if kind is Compl:
             values = list(map(operator.sub, repeat(1), a))
         elif kind is Quot:
-            values = [Fraction(x, y) if y else 0 for x, y in zip(a, b)]
+            values = [_quotient(x, y) if y else 0 for x, y in zip(a, b)]
             zeros = [p for p, y in enumerate(b) if not y]
-            ext = {p: INDETERMINATE if a[p] == 0 else Infinite(a[p]) for p in zeros}
+            for k in {a[p] for p in zeros}.difference(specials):
+                specials[k] = Infinite(k)
+            ext = {p: specials[a[p]] for p in zeros}
         else:
             values = list(map(_ARITHMETIC[kind], a, b))
         stack.append((values, ext))
     return stack[-1][0], stack[-1][1], failed
+
+
+def _quotient(x, y):
+    """x / y for y != 0: an int when both are ints and y divides x."""
+    if type(x) is int and type(y) is int and not x % y:
+        return x // y
+    return Fraction(x, y)
 
 
 def _is_class_coeff(v: Coeff) -> bool:
@@ -378,9 +406,9 @@ def expand(e: Expr, syms) -> LinearForm:
 
     The coefficient at each constituent is the pointwise evaluation of e
     at that constituent's vertex; one pass over the tree evaluates all
-    2**n vertices at once.  Evaluation failures (extended values feeding
-    further arithmetic) are aggregated and reported with the offending
-    constituents.
+    2**n vertices at once, and equal coefficients are one object.
+    Evaluation failures (extended values feeding further arithmetic) are
+    aggregated and reported with the offending constituents.
     """
     order = check_symbol_list(syms)
     missing = [s for s in free_symbols(e) if s not in order]
@@ -405,7 +433,8 @@ def expand(e: Expr, syms) -> LinearForm:
             raise UninterpretableNesting(
                 f"development failed at {where}: {err}", constituents=bad
             ) from None
-    coeffs = list(map(Fraction, values))
+    fractions = {v: Fraction(v) for v in set(values)}
+    coeffs = list(map(fractions.__getitem__, values))
     for m, x in extended.items():
         coeffs[m] = x
     return LinearForm(order, tuple(coeffs))

@@ -17,12 +17,16 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .algebra import (
     Coeff,
+    Constituent,
     Indeterminate,
     Infinite,
     LinearForm,
+    _display_masks,
     _require_finite,
     coeff_factor_text,
     constituents,
@@ -40,7 +44,7 @@ from .parsing import parse_equation, parse_expression
 
 @dataclass
 class OutputDocument:
-    body: str | dict  # the text, or the payload under --json
+    body: Iterable[str] | dict  # the text lines, or the payload under --json
     exit_code: int = 0
 
 
@@ -50,16 +54,16 @@ def _coeff_json(v: Coeff):
     return str(v)
 
 
-def _term_lines(form: LinearForm) -> list[str]:
-    lines = []
-    for c, v in form.display_items():
+def _term_lines(form: LinearForm) -> Iterator[str]:
+    """One line per term in display order, made as it is written."""
+    for m in _display_masks(len(form.symbols)):
+        c, v = Constituent(form.symbols, m), form.coeffs[m]
         line = f"{coeff_factor_text(v)}*{c}"
         if isinstance(v, Infinite):
             line += f"  [side condition: {c} = 0]"
         elif isinstance(v, Indeterminate):
             line += "  [indeterminate]"
-        lines.append(line)
-    return lines
+        yield line
 
 
 def _term_entries(form: LinearForm) -> list[dict]:
@@ -89,9 +93,8 @@ def cmd_expand(args) -> OutputDocument:
             "interpretable": interpretable,
         }
         return OutputDocument(payload)
-    lines = _term_lines(form)
-    lines.append("interpretable" if interpretable else "NOT INTERPRETABLE")
-    return OutputDocument("\n".join(lines))
+    verdict = "interpretable" if interpretable else "NOT INTERPRETABLE"
+    return OutputDocument(chain(_term_lines(form), [verdict]))
 
 
 def _solution_payload(sol: SolvedClass) -> dict:
@@ -125,18 +128,20 @@ def cmd_solve(args) -> OutputDocument:
             ),
         }
         return OutputDocument(payload, exit_code)
-    text = sol.describe()
+    lines = [sol.describe()]
     if report and report.ok:
-        text += f"\nverified sound and complete on universes 1..{args.max_universe}"
+        lines.append(
+            f"verified sound and complete on universes 1..{args.max_universe}"
+        )
     elif report:
-        text += f"\nverification FAILED: {report.counterexample}"
-    return OutputDocument(text, exit_code)
+        lines.append(f"verification FAILED: {report.counterexample}")
+    return OutputDocument(lines, exit_code)
 
 
 def _elimination_output(args, command: str, result, extra: dict) -> OutputDocument:
     residual = str(result.residual)
     if not args.json:
-        return OutputDocument(residual)
+        return OutputDocument([residual])
     payload = {"command": command, **extra, "residual": residual}
     payload["terms"] = [] if result.form is None else _term_entries(result.form)
     return OutputDocument(payload)
@@ -162,7 +167,7 @@ def cmd_syllogism(args) -> OutputDocument:
     if not isinstance(result, SolvedClass):
         return _elimination_output(args, "syllogism", result, extra)
     if not args.json:
-        return OutputDocument(result.describe())
+        return OutputDocument([result.describe()])
     payload = {"command": "syllogism", **extra, **_solution_payload(result)}
     return OutputDocument(payload)
 
@@ -194,7 +199,7 @@ def cmd_partition(args) -> OutputDocument:
         }
         return OutputDocument(payload, exit_code)
     names.append("sum = 1: OK" if sum_is_one else "sum = 1: FAILED")
-    return OutputDocument("\n".join(names), exit_code)
+    return OutputDocument(names, exit_code)
 
 
 def cmd_compare(args) -> OutputDocument:
@@ -218,7 +223,7 @@ def cmd_compare(args) -> OutputDocument:
     lines += [
         f"coefficient {v} at {c} (condition: {c} = 0)" for c, v in report.offending
     ]
-    return OutputDocument("\n".join(lines))
+    return OutputDocument(lines)
 
 
 def cmd_nyaya(args) -> OutputDocument:
@@ -226,7 +231,7 @@ def cmd_nyaya(args) -> OutputDocument:
     if args.json:
         table = [{"w": str(a), "not_w": str(b)} for a, b in rows]
         return OutputDocument({"command": "nyaya", "table": table})
-    return OutputDocument("\n".join(["w\tnot-w"] + [f"{a}\t{b}" for a, b in rows]))
+    return OutputDocument(["w\tnot-w"] + [f"{a}\t{b}" for a, b in rows])
 
 
 def cmd_check(args) -> OutputDocument:
@@ -286,7 +291,7 @@ def cmd_check(args) -> OutputDocument:
         f"oracle: {'confirmed' if confirmed else 'DISAGREES'} "
         f"on universes 0..{args.max_universe}"
     )
-    return OutputDocument("\n".join(lines), exit_code)
+    return OutputDocument(lines, exit_code)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -401,7 +406,10 @@ def main(argv=None) -> int:
     except ElectiveError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(doc.body, indent=2) if args.json else doc.body)
+    if args.json:
+        print(json.dumps(doc.body, indent=2))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in doc.body)
     return doc.exit_code
 
 

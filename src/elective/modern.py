@@ -14,6 +14,7 @@ the expression denotes a class after all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .algebra import Coeff, Constituent, LinearForm, _is_class_coeff, expand
 from .errors import NotInterpretable
@@ -69,11 +70,11 @@ def analyze(e: Expr, syms=None) -> DivergenceReport:
     Each offending constituent, forced empty, removes its own violation;
     together they are the conditions under which e denotes a class.
     """
-    order = tuple(syms) if syms is not None else free_symbols(e)
-    form = expand(e, order)
-    offending = tuple(
-        (Constituent(form.symbols, m), v)
-        for m, v in enumerate(form.coeffs)
-        if not _is_class_coeff(v)
-    )
+    form = expand(e, free_symbols(e) if syms is None else syms)
+    coeffs = form.coeffs
+    # expand makes equal coefficients one object: test each object once
+    distinct = dict(zip(map(id, coeffs), coeffs))
+    outside = {key for key, v in distinct.items() if not _is_class_coeff(v)}
+    masks = compress(count(), map(outside.__contains__, map(id, coeffs)))
+    offending = tuple((Constituent(form.symbols, m), coeffs[m]) for m in masks)
     return DivergenceReport(expression=e, offending=offending)

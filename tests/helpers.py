@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import elective
 from elective import (
     Add,
     Compl,
@@ -28,25 +33,42 @@ from elective import (
 XYZW = tuple(Symbol(n) for n in "xyzw")
 
 
+def run_elective(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m elective` as a child that imports the package under test,
+    installed or not."""
+    src = str(Path(elective.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "elective", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
 def random_expr(
     rng: random.Random,
     syms: tuple[Symbol, ...] = XYZW,
     depth: int = 6,
     allow_quot: bool = False,
+    fractional: bool = False,
 ) -> Expr:
-    """A random expression tree: constants in [-3, 3], given symbols."""
+    """A random expression tree: constants in [-3, 3], given symbols.
+
+    With `fractional`, a constant is divided by 1, 2 or 3.
+    """
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
-            return Const(rng.randint(-3, 3))
+            k = rng.randint(-3, 3)
+            return Const(Fraction(k, rng.randint(1, 3)) if fractional else k)
         return Sym(rng.choice(syms))
     ops = ["add", "sub", "mul", "mul", "compl"]
     if allow_quot:
         ops.append("quot")
     op = rng.choice(ops)
     if op == "compl":
-        return Compl(random_expr(rng, syms, depth - 1, allow_quot))
-    left = random_expr(rng, syms, depth - 1, allow_quot)
-    right = random_expr(rng, syms, depth - 1, allow_quot)
+        return Compl(random_expr(rng, syms, depth - 1, allow_quot, fractional))
+    left = random_expr(rng, syms, depth - 1, allow_quot, fractional)
+    right = random_expr(rng, syms, depth - 1, allow_quot, fractional)
     node = {"add": Add, "sub": Sub, "mul": Mul, "quot": Quot}[op]
     return node(left, right)
 
@@ -59,6 +81,39 @@ def oracle_vertex_value(e: Expr, vertex: dict[Symbol, int]) -> Fraction:
     """
     a = SetAssignment(Universe(1), {s: bit for s, bit in vertex.items()})
     return eval_numeric(e, a, 0)
+
+
+class Nested(Exception):
+    """An extended value (x/0) was an operand of a further operation."""
+
+
+def reference_value(e: Expr, vertex: dict[Symbol, int]):
+    """e at a 0/1 vertex by direct recursion, quotients included.
+
+    Independent of the algebra module's pass: every finite value is a
+    Fraction, x/0 is ("0/0",) for x = 0 and ("k/0", x) otherwise, and an
+    extended operand of any further operation raises Nested.
+    """
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Sym):
+        return Fraction(vertex[e.symbol])
+    children = (e.operand,) if isinstance(e, Compl) else (e.left, e.right)
+    operands = [reference_value(child, vertex) for child in children]
+    if not all(isinstance(v, Fraction) for v in operands):
+        raise Nested
+    if isinstance(e, Compl):
+        return 1 - operands[0]
+    left, right = operands
+    if isinstance(e, Quot):
+        if right == 0:
+            return ("0/0",) if left == 0 else ("k/0", left)
+        return left / right
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    return left * right
 
 
 def random_interpretable_expr(

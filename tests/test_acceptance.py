@@ -7,8 +7,6 @@ wall-clock budgets stated per criterion.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -50,6 +48,7 @@ from helpers import (
     oracle_vertex_value,
     random_expr,
     random_interpretable_expr,
+    run_elective,
 )
 
 x, y, z, w = XYZW
@@ -223,21 +222,14 @@ def test_criterion_9_parser_and_cli_determinism():
             ["solve", "x*w = y", "--for", "w", "--verify"],
             ["syllogism", "-p", "x*y' = 0", "-p", "y*z' = 0", "--drop", "y"],
         ):
-            runs = [
-                subprocess.run(
-                    [sys.executable, "-m", "elective", *argv],
-                    capture_output=True,
-                )
-                for _ in range(2)
-            ]
+            runs = [run_elective(*argv, capture_output=True) for _ in range(2)]
             assert runs[0].returncode == runs[1].returncode == 0
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout  # non-empty output
 
         doc = json.loads(
-            subprocess.run(
-                [sys.executable, "-m", "elective", "expand", "y/x",
-                 "--symbols", "x,y", "--json"],
+            run_elective(
+                "expand", "y/x", "--symbols", "x,y", "--json",
                 capture_output=True,
                 text=True,
             ).stdout

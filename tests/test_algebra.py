@@ -40,10 +40,12 @@ from elective import (
 )
 from helpers import (
     XYZW,
+    Nested,
     naive_to_expr,
     oracle_vertex_value,
     random_expr,
     reference_display_order,
+    reference_value,
 )
 
 x, y, z, w = XYZW
@@ -397,6 +399,65 @@ def test_expansion_soundness_random():
             if not contains_quotient(e):
                 assert v == oracle_vertex_value(e, c.vertex())
     assert failed_developments > 0
+
+
+def _random_quotient_tree(rng):
+    """A tree with quotients: anywhere in it, or one over two division-free
+    sides, with negative and fractional constants in both."""
+    fractional = rng.random() < 0.5
+    if rng.random() < 0.5:
+        return random_expr(rng, XYZW, 5, allow_quot=True, fractional=fractional)
+    top = random_expr(rng, XYZW, 4, fractional=fractional)
+    bottom = random_expr(rng, XYZW, 4, fractional=fractional)
+    return Quot(top, bottom)
+
+
+def test_expand_matches_an_independent_quotient_reference():
+    # eval_at runs the same pass as expand, so the quotient rules are
+    # checked against a per-vertex recursion with its own 0/0 and k/0
+    rng = random.Random(1815)
+    kinds = set()
+    for _ in range(1500):
+        e = _random_quotient_tree(rng)
+        want = {}
+        for c in constituents(XYZW):
+            try:
+                want[c.mask] = reference_value(e, c.vertex())
+            except Nested:
+                want[c.mask] = Nested
+        nested = [m for m, v in want.items() if v is Nested]
+        try:
+            form = expand(e, XYZW)
+        except UninterpretableNesting as err:
+            assert [c.mask for c in err.constituents] == nested
+            kinds.add("nested")
+            continue
+        assert not nested
+        for v, ref in zip(form.coeffs, want.values()):
+            if ref == ("0/0",):
+                assert v is INDETERMINATE
+                kinds.add("0/0")
+            elif isinstance(ref, tuple):
+                assert type(v) is Infinite and type(v.numerator) is Fraction
+                assert v.numerator == ref[1]
+                kinds.add("k/0")
+            else:
+                assert type(v) is Fraction and v == ref
+                kinds.add("integral" if v.denominator == 1 else "fractional")
+    assert kinds == {"nested", "0/0", "k/0", "integral", "fractional"}
+
+
+def test_equal_coefficients_are_one_object():
+    ring = [Symbol(f"s{i}") for i in range(12)]
+    terms = [Mul(Sym(s), Compl(Sym(t))) for s, t in zip(ring, ring[1:] + ring[:1])]
+    total = terms[0]
+    for term in terms[1:]:
+        total = Add(total, term)
+    # (3x + y - z) / (2x - y): exact and inexact quotients, 0/0 and two k/0
+    quotient = Quot(Sub(Add(Mul(Const(3), X), Y), Z), Sub(Mul(Const(2), X), Y))
+    for e, syms in ((total, ring), (quotient, XYZW)):
+        coeffs = expand(e, syms).coeffs
+        assert len({id(v) for v in coeffs}) == len(set(coeffs)) < len(coeffs)
 
 
 _expr_leaves = st.one_of(

@@ -2,14 +2,12 @@
 
 import json
 import random
-import subprocess
-import sys
 
 import pytest
 
 from elective import Constituent, Symbol, cli, constituents
 from elective.cli import main
-from helpers import reference_display_order
+from helpers import reference_display_order, run_elective
 
 
 def invoke(capsys, *argv):
@@ -262,10 +260,8 @@ def test_syllogism_large_residual_renders():
     ring = []
     for i in range(12):
         ring += ["-p", f"s{i}*s{(i + 1) % 12}' = 0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "elective", "syllogism", *ring, "--drop", "s0"],
-        capture_output=True,
-        text=True,
+    proc = run_elective(
+        "syllogism", *ring, "--drop", "s0", capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
@@ -368,11 +364,7 @@ def test_solve_verify_reaches_the_universe_cap(capsys):
 
 
 def test_cli_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "elective", "nyaya", "table"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_elective("nyaya", "table", capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "w\tnot-w"
 
@@ -387,11 +379,6 @@ def test_cli_runs_as_module():
     ],
 )
 def test_byte_identical_across_processes(argv):
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "elective", *argv], capture_output=True
-        )
-        for _ in range(2)
-    ]
+    runs = [run_elective(*argv, capture_output=True) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout

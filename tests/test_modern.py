@@ -9,8 +9,10 @@ import pytest
 from elective import (
     LinearForm,
     NotInterpretable,
+    Quot,
     Sym,
     SymbolListMismatch,
+    UninterpretableNesting,
     analyze,
     b_and,
     b_not,
@@ -117,3 +119,36 @@ def test_offending_empty_iff_interpretable_random():
         e = random_expr(rng, syms, depth=4)
         report = analyze(e, syms)
         assert bool(report.offending) != expand(e, syms).is_interpretable()
+
+
+def _outcome(develop):
+    """The result of a call, or its UninterpretableNesting's message and
+    constituents."""
+    try:
+        return develop()
+    except UninterpretableNesting as err:
+        return str(err), err.constituents
+
+
+def test_offending_are_the_non_class_terms_of_expand_random():
+    rng = random.Random(47)
+    syms = (x, y, z)
+    failures = extended = 0
+    for i in range(600):
+        e = random_expr(rng, syms, depth=4, allow_quot=True, fractional=i % 2 == 1)
+        if i % 3 == 0:
+            e = Quot(e, random_expr(rng, syms, depth=3, fractional=True))
+        report = _outcome(lambda: analyze(e, syms))
+        form = _outcome(lambda: expand(e, syms))
+        if isinstance(form, tuple):
+            assert report == form
+            failures += 1
+            continue
+        want = [
+            (c, v) for c, v in form.items()
+            if not (isinstance(v, Fraction) and v in (0, 1))
+        ]
+        assert report.offending == tuple(want)
+        assert [type(v) for _, v in report.offending] == [type(v) for _, v in want]
+        extended += any(not isinstance(v, Fraction) for _, v in want)
+    assert failures and extended
