@@ -180,14 +180,15 @@ def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
 
 
 def display_order(items: Iterable[Constituent]) -> tuple[Constituent, ...]:
-    """Constituents over one symbol list in the traditional layout:
-    all-plain first."""
+    """Constituents over one symbol list in the traditional layout, all-plain
+    first: the masks read with their bits reversed, descending.  Repeats
+    keep their input order."""
     items = tuple(items)
     for c in items:
         _require_basis(c, items[0].symbols)
-    masks = _display_masks(len(items[0].symbols) if items else 0)
-    rank = {m: r for r, m in enumerate(masks)}
-    return tuple(sorted(items, key=lambda c: rank[c.mask]))
+    return tuple(
+        sorted(items, key=lambda c: f"{c.mask:0{len(c.symbols)}b}"[::-1], reverse=True)
+    )
 
 
 def _literals(syms: tuple[Symbol, ...]) -> list[tuple[Expr, Expr]]:
@@ -293,12 +294,14 @@ def _is_class_coeff(v: Coeff) -> bool:
     return isinstance(v, Fraction) and v in (0, 1)
 
 
+def _terminal(v: Coeff, context: str) -> str:
+    """Why the extended value v cannot feed a {context}."""
+    return f"{v} cannot be an operand of a {context}; 0/0 and k/0 are terminal values"
+
+
 def _require_finite(v: Coeff, context: str) -> None:
     if not isinstance(v, Fraction):
-        raise UninterpretableNesting(
-            f"{v} cannot be an operand of a {context}; "
-            "0/0 and k/0 are terminal values"
-        )
+        raise UninterpretableNesting(_terminal(v, context))
 
 
 @dataclass(frozen=True)
@@ -345,12 +348,10 @@ class LinearForm:
         for m, value in enumerate(self.coeffs):
             yield Constituent(self.symbols, m), value
 
-    def display_items(self) -> tuple[tuple[Constituent, Coeff], ...]:
+    def display_items(self) -> Iterator[tuple[Constituent, Coeff]]:
         """(constituent, coefficient) pairs in the traditional layout."""
-        return tuple(
-            (Constituent(self.symbols, m), self.coeffs[m])
-            for m in _display_masks(len(self.symbols))
-        )
+        for m in _display_masks(len(self.symbols)):
+            yield Constituent(self.symbols, m), self.coeffs[m]
 
     def is_interpretable(self) -> bool:
         """True iff every coefficient is 0 or 1, i.e. the form is a class."""
@@ -408,7 +409,8 @@ def expand(e: Expr, syms) -> LinearForm:
     at that constituent's vertex; one pass over the tree evaluates all
     2**n vertices at once, and equal coefficients are one object.
     Evaluation failures (extended values feeding further arithmetic) are
-    aggregated and reported with the offending constituents.
+    aggregated: the error's message names the first offending constituent
+    and how many others fail, and its .constituents lists them all.
     """
     order = check_symbol_list(syms)
     missing = [s for s in free_symbols(e) if s not in order]
@@ -426,13 +428,13 @@ def expand(e: Expr, syms) -> LinearForm:
     values, extended, failed = _evaluate(e, width, value)
     if failed:
         bad = tuple(Constituent(order, m) for m in sorted(failed))
-        try:
-            _require_finite(*failed[bad[0].mask])
-        except UninterpretableNesting as err:
-            where = ", ".join(map(str, bad))
-            raise UninterpretableNesting(
-                f"development failed at {where}: {err}", constituents=bad
-            ) from None
+        where, others = str(bad[0]), len(bad) - 1
+        if others:
+            where += f" and {others} other constituent{'s' if others > 1 else ''}"
+        raise UninterpretableNesting(
+            f"development failed at {where}: {_terminal(*failed[bad[0].mask])}",
+            constituents=bad,
+        )
     fractions = {v: Fraction(v) for v in set(values)}
     coeffs = list(map(fractions.__getitem__, values))
     for m, x in extended.items():

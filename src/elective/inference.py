@@ -19,8 +19,9 @@ premise does.
 
 Both steps are coefficientwise on the developed form of f: a and b are
 the coefficients at the two constituents that differ only in w.  Each
-public call develops its input once and renders an Expr only for its
-result.
+public call develops its input once and works on that development; an
+elimination returns the residual's development, and the residual
+equation is rendered as an Expr only when it is read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .expr import (
     Add,
-    Const,
     Equation,
     Expr,
     Mul,
@@ -56,14 +56,20 @@ from .expr import (
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """A residual equation, expand-normalized, with the dropped symbol gone.
+    """A residual, with the dropped symbol gone, as its development.
 
-    form is the residual's development over the remaining symbols, or None
-    when no symbols remain (the residual is then a constant equation).
+    form is the residual's development over the remaining symbols, never
+    None: once every symbol is dropped it is the form over no symbols,
+    holding the constant.  The residual equation is rendered from form
+    each time it is read.
     """
 
-    residual: Equation
-    form: LinearForm | None
+    form: LinearForm
+
+    @property
+    def residual(self) -> Equation:
+        """The expand-normalized residual equation form = 0."""
+        return Equation(self.form.to_expr(), ZERO)
 
 
 @dataclass(frozen=True)
@@ -125,13 +131,6 @@ def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
     return LinearForm(rest, tuple(p * q for p, q in zip(a, b)))
 
 
-def _result(form: LinearForm) -> EliminationResult:
-    """Render a residual; a form over no symbols holds a constant."""
-    if not form.symbols:
-        return EliminationResult(Equation(Const(form.coeffs[0]), ZERO), None)
-    return EliminationResult(Equation(form.to_expr(), ZERO), form)
-
-
 def _check_unknown(unknown: Symbol, named, shown) -> None:
     """The unknown must be named, and no named symbol may be a v-name.
 
@@ -183,7 +182,7 @@ def eliminate(eq: Equation, drop: Symbol) -> EliminationResult:
         raise SymbolNotPresent(f"symbol {drop} does not occur in {eq}")
     f = eq.homogeneous()
     _division_free(f, "elimination input")
-    return _result(_eliminated(expand(f, syms), drop))
+    return EliminationResult(_eliminated(expand(f, syms), drop))
 
 
 def combine_premises(premises) -> Equation:
@@ -265,7 +264,7 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     form = expand(f, named) if named else LinearForm((), (eval_at(f, {}),))
 
     def shown():  # eq is None once a residual replaced it, rendered on demand
-        return eq or _result(form).residual
+        return eq or EliminationResult(form).residual
 
     for d in drop:
         if isinstance(d, str):
@@ -275,7 +274,7 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
         form, eq = _eliminated(form, d), None
         named = () if form.is_zero() else form.symbols
     if conclude_for is None:
-        return _result(form)
+        return EliminationResult(form)
     if isinstance(conclude_for, str):
         conclude_for = Symbol(conclude_for)
     _check_unknown(conclude_for, named, shown)

@@ -36,6 +36,7 @@ from elective import (
     expand,
     format_expr,
     format_linear_form,
+    parse_expression,
     solve_for,
 )
 from helpers import (
@@ -169,6 +170,31 @@ def test_expand_aggregates_offending_constituents():
     assert offenders == {"x'*y'", "x'*y"}  # both x = 0 vertices
 
 
+def test_expand_names_a_single_failed_constituent():
+    with pytest.raises(UninterpretableNesting) as info:
+        expand(Add(Quot(ONE, Add(X, Y)), ONE), [x, y])
+    assert str(info.value) == (
+        "development failed at x'*y': 1/0 cannot be an operand of a sum; "
+        "0/0 and k/0 are terminal values"
+    )
+
+
+@pytest.mark.parametrize("quotient, failing", [("s0/0", 1 << 16), ("1/s0", 1 << 15)])
+def test_expand_failure_message_stays_short_at_16_symbols(quotient, failing):
+    # the message names the first failed constituent and counts the others;
+    # .constituents still lists every one
+    text = " + ".join(f"s{i}" for i in range(1, 16)) + f" + {quotient}"
+    with pytest.raises(UninterpretableNesting) as info:
+        expand(parse_expression(text), _basis(16))
+    bad = info.value.constituents
+    assert len(bad) == failing
+    assert [c.mask for c in bad] == sorted(c.mask for c in bad)
+    assert str(info.value).startswith(
+        f"development failed at {bad[0]} and {failing - 1} other constituents: "
+    )
+    assert len(str(info.value)) < 300
+
+
 # ---------------------------------------------------------------------------
 # form arithmetic
 # ---------------------------------------------------------------------------
@@ -265,7 +291,7 @@ def test_display_order_follows_the_bit_reversal_rule(n):
     assert display_order(reversed(constituents(syms))) == want
     # distinct coefficients, so a misplaced term shows in every view
     f = LinearForm(syms, tuple(Fraction(m) for m in range(1 << n)))
-    assert f.display_items() == tuple((c, Fraction(c.mask)) for c in want)
+    assert tuple(f.display_items()) == tuple((c, Fraction(c.mask)) for c in want)
     assert format_linear_form(f) == " + ".join(f"{c.mask}*{c}" for c in want)
 
 

@@ -248,11 +248,24 @@ def test_expand_terminal_value_feeding_arithmetic_exits_2(capsys):
 
 
 def test_check_quotient_exits_2(capsys):
-    code, _, err = invoke(capsys, "check", "y/x = 0")
-    assert code == 2
-    code, _, err = invoke(capsys, "check", "1/0 = 0")
-    assert code == 2
-    assert "closed evaluation" in err
+    # a closed quotient is refused by the oracle, like one over symbols
+    for equation in ("y/x = 0", "1/0 = 0"):
+        code, _, err = invoke(capsys, "check", equation)
+        assert code == 2
+        assert err == "error: formal division has no pointwise set meaning\n"
+
+
+def test_cli_takes_only_public_names_from_the_package():
+    # the CLI renders what the library's public calls return
+    import ast
+    from pathlib import Path
+
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "elective"
+        ):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, f"cli imports {private} from {node.module}"
 
 
 def test_syllogism_large_residual_renders():

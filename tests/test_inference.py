@@ -1,6 +1,8 @@
 """Elimination, premise combination, solving, and oracle confirmation."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from elective import (
     EliminationResult,
     EmptyPremises,
     Equation,
+    LinearForm,
     Mul,
     NameCollision,
     Quot,
@@ -61,7 +64,46 @@ def test_eliminate_unknown_from_product_equation():
 def test_eliminate_vacuous():
     result = eliminate(parse_equation("x - x = 0"), x)
     assert str(result.residual) == "0 = 0"
-    assert result.form is None
+    assert result.form.symbols == ()
+    assert result.form.coeffs == (0,)
+
+
+@pytest.mark.parametrize(
+    "text, residual, constant",
+    [("x + x' = 0", "1 = 0", 1), ("x - x' = 0", "(-1) = 0", -1)],
+)
+def test_eliminating_the_last_symbol_leaves_a_constant_form(text, residual, constant):
+    result = eliminate(parse_equation(text), x)
+    assert result.form == LinearForm((), (Fraction(constant),))
+    assert str(result.residual) == residual
+    assert result.residual == Equation(Const(constant), ZERO)
+
+
+def test_elimination_renders_its_residual_only_when_read(monkeypatch):
+    rendered = []
+    to_expr = LinearForm.to_expr
+
+    def counted(form):
+        rendered.append(form)
+        return to_expr(form)
+
+    monkeypatch.setattr(LinearForm, "to_expr", counted)
+    premises = [parse_equation("x*(1 - y) = 0"), parse_equation("y*(1 - z) = 0")]
+    results = [
+        eliminate(parse_equation("x*w - y = 0"), w),
+        syllogism(premises, (y,)),
+        syllogism([parse_equation("x*y + 1 = 0")], (x, y)),
+    ]
+    assert rendered == []
+    texts = [str(r.residual) for r in results]
+    assert texts == ["x'*y = 0", "x*z' = 0", "4 = 0"]
+    assert rendered == [r.form for r in results]
+
+
+def test_elimination_residual_renders_the_form_it_holds():
+    result = eliminate(parse_equation("x*(1 - y) + y*(1 - z) = 0"), y)
+    g = expand(Sym(x), result.form.symbols)
+    assert str(dataclasses.replace(result, form=g).residual) == "x*z + x*z' = 0"
 
 
 def test_eliminate_contradiction_leaves_constant():
@@ -393,8 +435,10 @@ def _check_residual_against_oracle(premises, drops):
         return
     result = syllogism(premises, drops)
     if not kept:
-        assert result.form is None
-        assert (result.residual.lhs == ZERO) == _satisfiable(zero, order, (), drops, 0)
+        assert result.form.symbols == ()
+        constant = result.form.coeffs[0]
+        assert (constant == 0) == _satisfiable(zero, order, (), drops, 0)
+        assert (result.residual.lhs == ZERO) == (constant == 0)
         return
     assert result.form.symbols == kept
     for m, v in enumerate(result.form.coeffs):
