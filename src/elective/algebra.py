@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -125,9 +125,6 @@ class Constituent:
     symbols: tuple[Symbol, ...]
     mask: int
 
-    def takes(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def vertex(self) -> dict[Symbol, int]:
         """The 0/1 point at which this constituent's factor product is 1."""
         return {s: self.mask >> i & 1 for i, s in enumerate(self.symbols)}
@@ -151,24 +148,27 @@ def constituents(syms) -> tuple[Constituent, ...]:
     return tuple(Constituent(order, m) for m in range(1 << len(order)))
 
 
-def _display_masks(n: int) -> Iterator[int]:
-    """The masks over n symbols in the traditional layout (xy, xy', x'y, x'y'),
-    one at a time.
+def _display_terms(syms: tuple[Symbol, ...]) -> Iterator[tuple[int, str]]:
+    """(mask, constituent text) pairs in the traditional layout (xy, xy',
+    x'y, x'y'), one at a time; over no symbols the one text is empty.
 
-    Each doubling puts the masks that take symbol i before those that do
-    not, so the first symbol, doubled last, varies slowest.  The layout of
-    the first half of the symbols is the slow half of the mask, so two
-    tables of 2**(n/2) masks give all 2**n.
-    """
+    Each doubling puts the terms that take symbol i before those that do
+    not, so the first symbol, doubled last, varies slowest.  Its half of
+    the symbols leads the layout and the text, so two tables of 2**(n/2)
+    (mask, text) pairs give all 2**n.  Every factor in a table is followed
+    by '*', and a joined text drops its last one."""
 
-    def layout(bits: range) -> list[int]:
-        order = [0]
+    def layout(bits: range) -> list[tuple[int, str]]:
+        masks, texts = [0], [""]
         for i in reversed(bits):
-            order = [m | 1 << i for m in order] + order
-        return order
+            name = syms[i].name
+            masks = [m | 1 << i for m in masks] + masks
+            texts = [f"{name}*{t}" for t in texts] + [f"{name}'*{t}" for t in texts]
+        return list(zip(masks, texts))
 
+    n = len(syms)
     high, low = layout(range(n // 2)), layout(range(n // 2, n))
-    return chain.from_iterable(map(h.__or__, low) for h in high)
+    return ((hm | lm, (ht + lt)[:-1]) for hm, ht in high for lm, lt in low)
 
 
 def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
@@ -348,14 +348,16 @@ class LinearForm:
         for m, value in enumerate(self.coeffs):
             yield Constituent(self.symbols, m), value
 
-    def display_items(self) -> Iterator[tuple[Constituent, Coeff]]:
-        """(constituent, coefficient) pairs in the traditional layout."""
-        for m in _display_masks(len(self.symbols)):
-            yield Constituent(self.symbols, m), self.coeffs[m]
+    def display_items(self) -> Iterator[tuple[str, Coeff]]:
+        """(constituent text, coefficient) pairs in the traditional layout."""
+        for m, text in _display_terms(self.symbols):
+            yield text, self.coeffs[m]
 
     def is_interpretable(self) -> bool:
-        """True iff every coefficient is 0 or 1, i.e. the form is a class."""
-        return all(map(_is_class_coeff, self.coeffs))
+        """True iff every coefficient is 0 or 1, i.e. the form is a class.
+        expand makes equal coefficients one object: each is tested once."""
+        distinct = dict(zip(map(id, self.coeffs), self.coeffs))
+        return all(map(_is_class_coeff, distinct.values()))
 
     def is_zero(self) -> bool:
         return all(isinstance(v, Fraction) and v == 0 for v in self.coeffs)
@@ -390,7 +392,7 @@ class LinearForm:
         """Compact expression: non-zero terms in display order, 0 if none."""
         literals = _literals(self.symbols)
         out = None
-        for m in _display_masks(len(self.symbols)):
+        for m, _ in _display_terms(self.symbols):
             v = self.coeffs[m]
             _require_finite(v, "expression rebuild")
             if v != 0:
@@ -443,7 +445,8 @@ def expand(e: Expr, syms) -> LinearForm:
 
 
 def format_linear_form(f: LinearForm) -> str:
-    """Full development as text, every constituent shown, display order."""
+    """Full development as text, every constituent shown, display order.
+    Over no symbols the constituent text is empty: the constant stands alone."""
     return " + ".join(
-        f"{coeff_factor_text(v)}*{c}" for c, v in f.display_items()
+        f"{coeff_factor_text(v)}*{t}".rstrip("*") for t, v in f.display_items()
     )

@@ -53,20 +53,17 @@ def _coeff_json(v: Coeff):
 
 def _term_lines(form: LinearForm) -> Iterator[str]:
     """One line per term in display order, made as it is written."""
-    for c, v in form.display_items():
-        line = f"{coeff_factor_text(v)}*{c}"
+    for text, v in form.display_items():
+        line = f"{coeff_factor_text(v)}*{text}"
         if isinstance(v, Infinite):
-            line += f"  [side condition: {c} = 0]"
+            line += f"  [side condition: {text} = 0]"
         elif isinstance(v, Indeterminate):
             line += "  [indeterminate]"
         yield line
 
 
-def _term_entries(form: LinearForm) -> list[dict]:
-    return [
-        {"constituent": str(c), "coefficient": _coeff_json(v)}
-        for c, v in form.display_items()
-    ]
+def _term_entries(pairs: Iterable[tuple[str, Coeff]]) -> list[dict]:
+    return [{"constituent": t, "coefficient": _coeff_json(v)} for t, v in pairs]
 
 
 def _symbol_list(arg: str | None, fallback) -> tuple[Symbol, ...]:
@@ -85,7 +82,7 @@ def cmd_expand(args) -> OutputDocument:
             "command": "expand",
             "expression": format_expr(e),
             "symbols": [s.name for s in form.symbols],
-            "terms": _term_entries(form),
+            "terms": _term_entries(form.display_items()),
             "interpretable": interpretable,
         }
         return OutputDocument(payload)
@@ -134,12 +131,19 @@ def cmd_solve(args) -> OutputDocument:
     return OutputDocument(lines, exit_code)
 
 
-def _elimination_output(args, command: str, result, extra: dict) -> OutputDocument:
-    residual = str(result.residual)
+def _elimination_output(args, command: str, form, extra: dict) -> OutputDocument:
+    # form = 0 as EliminationResult.residual renders it: the non-zero terms
+    # with a coefficient of 1 left out, 0 if none, the constant over no symbols
+    terms = (
+        t if v == 1 and t else f"{coeff_factor_text(v)}*{t}".rstrip("*")
+        for t, v in form.display_items()
+        if v != 0
+    )
+    residual = f"{' + '.join(terms) or 0} = 0"
     if not args.json:
         return OutputDocument([residual])
     payload = {"command": command, **extra, "residual": residual}
-    payload["terms"] = _term_entries(result.form) if result.form.symbols else []
+    payload["terms"] = _term_entries(form.display_items()) if form.symbols else []
     return OutputDocument(payload)
 
 
@@ -147,7 +151,7 @@ def cmd_eliminate(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     result = eliminate(eq, Symbol(args.drop))
     return _elimination_output(
-        args, "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
+        args, "eliminate", result.form, {"equation": str(eq), "dropped": [args.drop]}
     )
 
 
@@ -161,7 +165,7 @@ def cmd_syllogism(args) -> OutputDocument:
         "dropped": [s.name for s in drops],
     }
     if not isinstance(result, SolvedClass):
-        return _elimination_output(args, "syllogism", result, extra)
+        return _elimination_output(args, "syllogism", result.form, extra)
     if not args.json:
         return OutputDocument([result.describe()])
     payload = {"command": "syllogism", **extra, **_solution_payload(result)}
@@ -175,7 +179,7 @@ def _indicates_its_vertex(c, syms) -> bool:
 
 def cmd_partition(args) -> OutputDocument:
     syms = symbols(args.symbols)
-    items = display_order(constituents(syms))
+    items = constituents(syms)
     # Products of literals naming every symbol, each 1 at its own one of the
     # 2**n vertices, are those vertices' indicators, so they sum to 1.
     masks = set(range(1 << len(syms)))
@@ -184,7 +188,7 @@ def cmd_partition(args) -> OutputDocument:
         and {c.mask for c in items} == masks
         and all(_indicates_its_vertex(c, syms) for c in items)
     )
-    names = [str(c) for c in items]
+    names = [t for t, _ in LinearForm.constant(syms, 1).display_items()]
     exit_code = 0 if sum_is_one else 2
     if args.json:
         payload = {
@@ -208,10 +212,7 @@ def cmd_compare(args) -> OutputDocument:
             "expression": format_expr(e),
             "symbols": [s.name for s in syms],
             "interpretable": report.interpretable,
-            "offending": [
-                {"constituent": str(c), "coefficient": _coeff_json(v)}
-                for c, v in report.offending
-            ],
+            "offending": _term_entries((str(c), v) for c, v in report.offending),
             "conditions": [str(c) for c in report.interpretability_conditions],
         }
         return OutputDocument(payload)
@@ -234,15 +235,11 @@ def cmd_check(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     syms = _symbol_list(args.symbols, eq.free_symbols())
     f = eq.homogeneous()
-    if not syms:
-        identity = eval_at(f, {}) == 0
-        zeros: list = []
-        satisfiable = identity
-    else:
-        form = expand(f, syms)
-        identity = form.is_zero()
-        zeros = [c for c, v in form.display_items() if v == 0]
-        satisfiable = bool(zeros)
+    # over no symbols, the form holding the constant, whose term names nothing
+    form = expand(f, syms) if syms else LinearForm((), (eval_at(f, {}),))
+    identity = form.is_zero()
+    zeros = [t for t, v in form.display_items() if v == 0 and t]
+    satisfiable = identity or bool(zeros)
 
     model = check_equation(eq, syms, args.max_universe)
     counterexample = None  # the first model on which the equation fails
@@ -265,7 +262,7 @@ def cmd_check(args) -> OutputDocument:
             "symbols": [s.name for s in syms],
             "identity": identity,
             "satisfiable": satisfiable,
-            "zero_constituents": [str(c) for c in zeros],
+            "zero_constituents": zeros,
             "oracle": {
                 "max_universe": args.max_universe,
                 "confirmed": confirmed,

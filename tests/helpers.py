@@ -187,7 +187,7 @@ def region(c: Constituent, a: SetAssignment) -> int:
     mask = a.universe.full
     for i, s in enumerate(c.symbols):
         sub = a.subset(s)
-        mask &= sub if c.takes(i) else a.universe.full & ~sub
+        mask &= sub if c.mask >> i & 1 else a.universe.full & ~sub
     return mask
 
 

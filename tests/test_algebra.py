@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elective import algebra
 from elective import (
     Add,
     Compl,
@@ -257,6 +258,36 @@ def test_is_interpretable():
     assert not expand(Quot(Y, X), [x, y]).is_interpretable()
 
 
+def test_is_interpretable_tests_each_coefficient_object_once(monkeypatch):
+    tested = []
+    is_class = algebra._is_class_coeff
+
+    def counted(v):
+        tested.append(v)
+        return is_class(v)
+
+    monkeypatch.setattr(algebra, "_is_class_coeff", counted)
+    f = expand(parse_expression("s0*s1"), _basis(20))
+    assert f.is_interpretable()
+    assert sorted(tested) == [0, 1]
+
+
+def test_is_interpretable_agrees_with_testing_every_coefficient():
+    rng = random.Random(1854)
+    pool = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
+    pool += [INDETERMINATE, Infinite(Fraction(3))]
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        values = pool[: rng.randint(2, len(pool))]
+        # equal values both shared and as separate objects
+        coeffs = tuple(
+            Fraction(v) if isinstance(v, Fraction) and rng.random() < 0.5 else v
+            for v in (rng.choice(values) for _ in range(1 << n))
+        )
+        want = all(isinstance(v, Fraction) and v in (0, 1) for v in coeffs)
+        assert LinearForm(_basis(n), coeffs).is_interpretable() == want
+
+
 # ---------------------------------------------------------------------------
 # formatting
 # ---------------------------------------------------------------------------
@@ -291,7 +322,7 @@ def test_display_order_follows_the_bit_reversal_rule(n):
     assert display_order(reversed(constituents(syms))) == want
     # distinct coefficients, so a misplaced term shows in every view
     f = LinearForm(syms, tuple(Fraction(m) for m in range(1 << n)))
-    assert tuple(f.display_items()) == tuple((c, Fraction(c.mask)) for c in want)
+    assert tuple(f.display_items()) == tuple((str(c), Fraction(c.mask)) for c in want)
     assert format_linear_form(f) == " + ".join(f"{c.mask}*{c}" for c in want)
 
 

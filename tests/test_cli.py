@@ -2,12 +2,26 @@
 
 import json
 import random
+from argparse import Namespace
+from fractions import Fraction
 
 import pytest
 
-from elective import Constituent, Symbol, cli, constituents
+from elective import (
+    Constituent,
+    ElectiveError,
+    EliminationResult,
+    Equation,
+    LinearForm,
+    Symbol,
+    cli,
+    combine_premises,
+    constituents,
+    parse_equation,
+    syllogism,
+)
 from elective.cli import main
-from helpers import reference_display_order, run_elective
+from helpers import XYZW, random_expr, reference_display_order, run_elective
 
 
 def invoke(capsys, *argv):
@@ -260,12 +274,72 @@ def test_cli_takes_only_public_names_from_the_package():
     import ast
     from pathlib import Path
 
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").split(".")[0] == "elective"
         ):
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, f"cli imports {private} from {node.module}"
+    # Developed forms are written from display_items(), never rebuilt as an
+    # Expr: the one expression the CLI builds is the product of a single
+    # constituent, in partition's per-product check.
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("residual", "to_expr")
+    ]
+    (check,) = [
+        f
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_indicates_its_vertex"
+    ]
+    assert [n.attr for n in reads] == ["to_expr"]
+    assert reads[0] in list(ast.walk(check))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_residual_is_the_library_residual(capsys, seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        syms = XYZW[: rng.randint(1, 4)]
+        texts = [
+            str(Equation(random_expr(rng, syms, 4), random_expr(rng, syms, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        premises = [parse_equation(t) for t in texts]
+        named = combine_premises(premises).free_symbols()
+        drops = rng.sample(named, rng.randint(0, len(named)))
+        try:
+            want = (0, f"{syllogism(premises, drops).residual}\n")
+        except ElectiveError:
+            want = (2, "")
+        argv = [a for t in texts for a in ("-p", t)]
+        argv += ["--drop", ",".join(s.name for s in drops)]
+        code, out, _ = invoke(capsys, "syllogism", *argv)
+        assert (code, out) == want
+
+
+def _form(syms, *values):
+    return LinearForm(syms, tuple(map(Fraction, values)))
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        _form(XYZW[:2], -2, 1, 0, Fraction(1, 2)),
+        _form(XYZW[:2], 1, Fraction(-3, 4), 1, 0),
+        _form(XYZW[:3], *[0] * 8),
+        _form(XYZW[:1], 0, 1),
+        _form((), 0),
+        _form((), 1),
+        _form((), -1),
+        _form((), Fraction(2, 3)),
+    ],
+)
+def test_cli_residual_of_any_form_is_the_library_residual(form):
+    doc = cli._elimination_output(Namespace(json=False), "eliminate", form, {})
+    assert list(doc.body) == [str(EliminationResult(form).residual)]
 
 
 def test_syllogism_large_residual_renders():

@@ -31,6 +31,8 @@ from elective import (
     eliminate,
     enumerate_solutions,
     expand,
+    format_expr,
+    format_linear_form,
     holds,
     parse_equation,
     solve_for,
@@ -77,6 +79,17 @@ def test_eliminating_the_last_symbol_leaves_a_constant_form(text, residual, cons
     assert result.form == LinearForm((), (Fraction(constant),))
     assert str(result.residual) == residual
     assert result.residual == Equation(Const(constant), ZERO)
+
+
+@pytest.mark.parametrize(
+    "text, constant",
+    [("x + x' = 0", "1"), ("x*x' = 0", "0"), ("x*x' - 1 = 0", "1"), ("x - x' = 0", "(-1)")],
+)
+def test_a_form_over_no_symbols_prints_its_constant(text, constant):
+    form = eliminate(parse_equation(text), x).form
+    assert form.symbols == ()
+    assert str(form) == format_linear_form(form) == constant
+    assert format_expr(form.to_expr()) == constant
 
 
 def test_elimination_renders_its_residual_only_when_read(monkeypatch):
