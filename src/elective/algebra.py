@@ -29,8 +29,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import compress, count, repeat
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     EmptySymbolList,
@@ -94,7 +94,7 @@ Coeff = Union[Fraction, Indeterminate, Infinite]
 
 def coeff_factor_text(c: Coeff) -> str:
     """Coefficient text for use before '*'; specials get parentheses."""
-    if isinstance(c, Fraction) and c >= 0 and c.denominator == 1:
+    if isinstance(c, Fraction) and c.denominator == 1 and c.numerator >= 0:
         return str(c.numerator)
     return f"({c})"
 
@@ -177,18 +177,6 @@ def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
             f"constituent {c} is over {[s.name for s in c.symbols]}, "
             f"not {[s.name for s in syms]}"
         )
-
-
-def display_order(items: Iterable[Constituent]) -> tuple[Constituent, ...]:
-    """Constituents over one symbol list in the traditional layout, all-plain
-    first: the masks read with their bits reversed, descending.  Repeats
-    keep their input order."""
-    items = tuple(items)
-    for c in items:
-        _require_basis(c, items[0].symbols)
-    return tuple(
-        sorted(items, key=lambda c: f"{c.mask:0{len(c.symbols)}b}"[::-1], reverse=True)
-    )
 
 
 def _literals(syms: tuple[Symbol, ...]) -> list[tuple[Expr, Expr]]:
@@ -353,11 +341,16 @@ class LinearForm:
         for m, text in _display_terms(self.symbols):
             yield text, self.coeffs[m]
 
-    def is_interpretable(self) -> bool:
-        """True iff every coefficient is 0 or 1, i.e. the form is a class.
-        expand makes equal coefficients one object: each is tested once."""
+    def _nonclass(self) -> Iterator[int]:
+        """Ascending masks whose coefficient is not 0 or 1; one test per object."""
         distinct = dict(zip(map(id, self.coeffs), self.coeffs))
-        return all(map(_is_class_coeff, distinct.values()))
+        outside = {k for k, v in distinct.items() if not _is_class_coeff(v)}
+        flags = map(outside.__contains__, map(id, self.coeffs))
+        return compress(count(), flags) if outside else iter(())
+
+    def is_interpretable(self) -> bool:
+        """True iff every coefficient is 0 or 1, i.e. the form is a class."""
+        return next(self._nonclass(), None) is None
 
     def is_zero(self) -> bool:
         return all(isinstance(v, Fraction) and v == 0 for v in self.coeffs)

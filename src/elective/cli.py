@@ -27,7 +27,6 @@ from .algebra import (
     LinearForm,
     coeff_factor_text,
     constituents,
-    display_order,
     eval_at,
     expand,
 )
@@ -91,15 +90,16 @@ def cmd_expand(args) -> OutputDocument:
 
 
 def _solution_payload(sol: SolvedClass) -> dict:
+    included, side_conditions, excluded = sol.display_groups()
     return {
         "unknown": sol.unknown.name,
         "symbols": [s.name for s in sol.free_symbols],
-        "included": [str(c) for c in display_order(sol.included)],
+        "included": included,
         "indeterminate": [
             {"name": v.name, "constituent": str(c)} for v, c in sol.indeterminate
         ],
-        "side_conditions": [str(c) for c in display_order(sol.side_conditions)],
-        "excluded": [str(c) for c in display_order(sol.excluded)],
+        "side_conditions": side_conditions,
+        "excluded": excluded,
         "solution": sol.describe(),
     }
 
@@ -206,20 +206,20 @@ def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
     syms = _symbol_list(args.symbols, free_symbols(e))
     report = analyze(e, syms)
+    offending = ((str(c), v) for c, v in report.offending)
     if args.json:
+        entries = _term_entries(offending)
         payload = {
             "command": "compare",
             "expression": format_expr(e),
             "symbols": [s.name for s in syms],
             "interpretable": report.interpretable,
-            "offending": _term_entries((str(c), v) for c, v in report.offending),
-            "conditions": [str(c) for c in report.interpretability_conditions],
+            "offending": entries,
+            "conditions": [entry["constituent"] for entry in entries],
         }
         return OutputDocument(payload)
     verdict = "interpretable" if report.interpretable else "NOT INTERPRETABLE"
-    lines = (
-        f"coefficient {v} at {c} (condition: {c} = 0)" for c, v in report.offending
-    )
+    lines = (f"coefficient {v} at {t} (condition: {t} = 0)" for t, v in offending)
     return OutputDocument(chain([verdict], lines))
 
 

@@ -26,14 +26,15 @@ equation is rendered as an Expr only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     Constituent,
     LinearForm,
+    _display_terms,
+    _require_basis,
     check_symbol_list,
     constituents,
-    display_order,
     eval_at,
     expand,
 )
@@ -90,20 +91,30 @@ class SolvedClass:
     side_conditions: frozenset[Constituent]
     excluded: frozenset[Constituent]
 
-    def describe(self) -> str:
-        """One-line rendering: 'w = ...' plus side conditions if any."""
-        parts = [str(c) for c in display_order(self.included)]
-        parts += [f"{v}*{c}" for v, c in self.indeterminate]
-        text = f"{self.unknown} = " + (" + ".join(parts) if parts else "0")
-        if self.side_conditions:
-            conds = ", ".join(
-                f"{c} = 0" for c in display_order(self.side_conditions)
-            )
-            text += f"  where {conds}"
-        return text
+    def display_groups(self) -> tuple[list[str], ...]:
+        """Included, side-condition and excluded texts, each in the layout."""
+        syms = self.free_symbols
+        code = bytearray([3]) * (1 << len(syms))  # each mask's group; 3: none
+        for k, group in enumerate((self.included, self.side_conditions, self.excluded)):
+            for c in group:
+                _require_basis(c, syms)
+                code[c.mask] = k
+        texts: tuple[list[str], ...] = ([], [], [])
+        for m, text in _display_terms(syms):
+            if code[m] < 3:
+                texts[code[m]].append(text)
+        return texts
 
-    def __str__(self) -> str:
-        return self.describe()
+    def describe(self) -> str:
+        """One-line 'w = ...' plus side conditions; excluded texts are not made."""
+        included, side, _ = replace(self, excluded=frozenset()).display_groups()
+        included += [f"{v}*{c}" for v, c in self.indeterminate]
+        head = [f"{self.unknown} = ", " + ".join(included) or "0"]
+        where = ["  where ", " = 0, ".join(side), " = 0"] if side else []
+        del included, side  # each text is now held once, in its joined piece
+        return "".join(head + where)
+
+    __str__ = describe
 
 
 def _division_free(f: Expr, what: str) -> None:
@@ -126,9 +137,11 @@ def _split(form: LinearForm, s: Symbol):
 
 
 def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
-    """The residual a*b of f = a*drop + b*drop', coefficient by coefficient."""
+    """The residual a*b of f = a*drop + b*drop', a product per distinct object pair."""
     rest, a, b = _split(form, drop)
-    return LinearForm(rest, tuple(p * q for p, q in zip(a, b)))
+    distinct = dict(zip(zip(map(id, a), map(id, b)), zip(a, b)))
+    prod = {key: p * q for key, (p, q) in distinct.items()}
+    return LinearForm(rest, tuple(map(prod.__getitem__, zip(map(id, a), map(id, b)))))
 
 
 def _check_unknown(unknown: Symbol, named, shown) -> None:

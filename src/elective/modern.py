@@ -14,23 +14,28 @@ the expression denotes a class after all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 
-from .algebra import Coeff, Constituent, LinearForm, _is_class_coeff, expand
+from .algebra import Coeff, Constituent, LinearForm, expand
 from .errors import NotInterpretable
 from .expr import Expr, free_symbols
 
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Where and why an expression fails to denote a class."""
+    """Where and why an expression fails to denote a class, by its form."""
 
     expression: Expr
-    offending: tuple[tuple[Constituent, Coeff], ...]
+    form: LinearForm
 
     @property
     def interpretable(self) -> bool:
-        return not self.offending
+        return self.form.is_interpretable()
+
+    @property
+    def offending(self) -> tuple[tuple[Constituent, Coeff], ...]:
+        """(constituent, coefficient) pairs outside {0, 1}, ascending mask."""
+        f = self.form
+        return tuple((Constituent(f.symbols, m), f.coeffs[m]) for m in f._nonclass())
 
     @property
     def interpretability_conditions(self) -> tuple[Constituent, ...]:
@@ -38,43 +43,34 @@ class DivergenceReport:
         return tuple(c for c, _ in self.offending)
 
 
-def _require_interpretable(f: LinearForm, name: str) -> LinearForm:
-    if not f.is_interpretable():
-        raise NotInterpretable(f"{name} needs coefficients in {{0, 1}}; got {f}")
-    return f
+def _require_interpretable(name: str, *forms: LinearForm) -> None:
+    for f in forms:
+        if not f.is_interpretable():
+            raise NotInterpretable(f"{name} needs coefficients in {{0, 1}}; got {f}")
 
 
 def b_or(f: LinearForm, g: LinearForm) -> LinearForm:
     """Union: coefficientwise max on interpretable forms."""
-    _require_interpretable(f, "b_or")
-    _require_interpretable(g, "b_or")
+    _require_interpretable("b_or", f, g)
     return f + g - f * g  # max equals this on {0,1}
 
 
 def b_and(f: LinearForm, g: LinearForm) -> LinearForm:
     """Intersection: coefficientwise min on interpretable forms."""
-    _require_interpretable(f, "b_and")
-    _require_interpretable(g, "b_and")
+    _require_interpretable("b_and", f, g)
     return f * g  # min equals product on {0,1}
 
 
 def b_not(f: LinearForm) -> LinearForm:
     """Complement: coefficientwise 1 - c on an interpretable form."""
-    _require_interpretable(f, "b_not")
+    _require_interpretable("b_not", f)
     return LinearForm(f.symbols, tuple(1 - v for v in f.coeffs))
 
 
 def analyze(e: Expr, syms=None) -> DivergenceReport:
-    """Develop a division-free expression and list non-{0,1} coefficients.
+    """Develop a division-free expression and report its non-{0,1} terms.
 
     Each offending constituent, forced empty, removes its own violation;
     together they are the conditions under which e denotes a class.
     """
-    form = expand(e, free_symbols(e) if syms is None else syms)
-    coeffs = form.coeffs
-    # expand makes equal coefficients one object: test each object once
-    distinct = dict(zip(map(id, coeffs), coeffs))
-    outside = {key for key, v in distinct.items() if not _is_class_coeff(v)}
-    masks = compress(count(), map(outside.__contains__, map(id, coeffs)))
-    offending = tuple((Constituent(form.symbols, m), coeffs[m]) for m in masks)
-    return DivergenceReport(expression=e, offending=offending)
+    return DivergenceReport(e, expand(e, free_symbols(e) if syms is None else syms))

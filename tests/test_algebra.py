@@ -1,5 +1,6 @@
 """Constituent development: frozen examples, laws, and random soundness."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -30,9 +31,9 @@ from elective import (
     SymbolNotPresent,
     UninterpretableNesting,
     ZERO,
+    coeff_factor_text,
     constituents,
     contains_quotient,
-    display_order,
     eval_at,
     expand,
     format_expr,
@@ -303,6 +304,19 @@ def test_format_constant_form():
     assert format_linear_form(f) == "1*x + 1*x'"
 
 
+def test_coeff_factor_text_matches_the_fraction_comparison():
+    def reference(c):
+        if isinstance(c, Fraction) and c >= 0 and c.denominator == 1:
+            return str(c.numerator)
+        return f"({c})"
+
+    rng = random.Random(1848)
+    values = [INDETERMINATE, Infinite(Fraction(3)), Infinite(Fraction(-1, 2))]
+    values += [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(500)]
+    for c in values:
+        assert coeff_factor_text(c) == reference(c)
+
+
 def test_form_to_expr_compact():
     f = expand(Sub(Mul(X, Sub(ONE, Y)), Mul(X, Sub(ONE, Y))), [x, y])
     assert f.to_expr() == ZERO
@@ -318,33 +332,35 @@ def _basis(n):
 def test_display_order_follows_the_bit_reversal_rule(n):
     syms = _basis(n)
     want = reference_display_order(constituents(syms))
-    assert display_order(constituents(syms)) == want
-    assert display_order(reversed(constituents(syms))) == want
     # distinct coefficients, so a misplaced term shows in every view
     f = LinearForm(syms, tuple(Fraction(m) for m in range(1 << n)))
     assert tuple(f.display_items()) == tuple((str(c), Fraction(c.mask)) for c in want)
     assert format_linear_form(f) == " + ".join(f"{c.mask}*{c}" for c in want)
 
 
-def test_display_order_follows_the_rule_on_random_subsets():
-    rng = random.Random(1847)
-    for _ in range(300):
-        cs = constituents(_basis(rng.randint(1, 8)))
-        picked = rng.choices(cs, k=rng.randint(0, len(cs)))  # repeats included
-        assert display_order(picked) == reference_display_order(picked)
-
-
 def test_display_order_refuses_constituents_over_different_symbol_lists():
     # one layout ranks masks of one basis; a mask of another means
-    # another constituent, so a mixed list is refused, however it is ordered
-    for mixed in (
-        [Constituent((x,), 1), Constituent((x, y), 3)],
-        [Constituent((x, y), 3), Constituent((x,), 1)],
-        [Constituent((x, y), 1), Constituent((y, x), 2)],
-    ):
-        with pytest.raises(SymbolListMismatch):
-            display_order(mixed)
-    assert display_order([]) == ()
+    # another constituent, so a solution grouping one is refused
+    sol = solve_for(Equation(Mul(X, Sym(w)), Y), w)
+    for group in ("included", "side_conditions", "excluded"):
+        for stranger in (Constituent((x,), 1), Constituent((y, x), 2)):
+            bad = dataclasses.replace(sol, **{group: getattr(sol, group) | {stranger}})
+            with pytest.raises(SymbolListMismatch):
+                bad.display_groups()
+            if group != "excluded":  # describe prints no excluded constituent
+                with pytest.raises(SymbolListMismatch):
+                    bad.describe()
+
+
+def _reference_describe(sol) -> str:
+    """The one-line solution, each group sorted into the layout by the rule."""
+    parts = [str(c) for c in reference_display_order(sol.included)]
+    parts += [f"{v}*{c}" for v, c in sol.indeterminate]
+    text = f"{sol.unknown} = " + (" + ".join(parts) if parts else "0")
+    if sol.side_conditions:
+        conds = [f"{c} = 0" for c in reference_display_order(sol.side_conditions)]
+        text += "  where " + ", ".join(conds)
+    return text
 
 
 def test_display_order_follows_the_rule_on_solved_groups():
@@ -357,9 +373,11 @@ def test_display_order_follows_the_rule_on_solved_groups():
             sol = solve_for(eq, rng.choice(syms))
         except ElectiveError:
             continue
-        for group in (sol.included, sol.side_conditions, sol.excluded):
-            assert display_order(group) == reference_display_order(group)
-            checked += len(group) > 1
+        groups = (sol.included, sol.side_conditions, sol.excluded)
+        want = tuple([str(c) for c in reference_display_order(g)] for g in groups)
+        assert sol.display_groups() == want
+        assert sol.describe() == _reference_describe(sol)
+        checked += sum(len(g) > 1 for g in groups)
     assert checked > 100
 
 

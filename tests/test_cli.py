@@ -463,6 +463,8 @@ def test_cli_runs_as_module():
         ["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "3"],
         ["syllogism", "-p", "x*y' = 0", "-p", "y*z' = 0", "--drop", "y", "--json"],
         ["partition", "--symbols", "x,y"],
+        ["solve", "x*w = y", "--for", "w", "--json"],
+        ["compare", "x + y - z", "--json"],
     ],
 )
 def test_byte_identical_across_processes(argv):

@@ -40,6 +40,7 @@ from elective import (
     symbols,
     verify_solved,
 )
+from elective.inference import _eliminated
 from helpers import (
     XYZW,
     assignments,
@@ -55,6 +56,29 @@ X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)
 # ---------------------------------------------------------------------------
 # eliminate
 # ---------------------------------------------------------------------------
+
+
+def test_eliminated_form_is_the_product_of_each_pair():
+    # products are taken once per pair of coefficient objects; each entry
+    # must still be the product of its own pair, in value and in type
+    rng = random.Random(1864)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        syms = tuple(Symbol(f"s{i}") for i in range(n))
+        if rng.random() < 0.5:
+            form = expand(random_expr(rng, syms, 5, fractional=True), syms)
+        else:  # equal values both shared and as separate objects
+            pool = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+            picks = (rng.choice(pool) for _ in range(1 << n))
+            coeffs = (Fraction(v) if rng.random() < 0.5 else v for v in picks)
+            form = LinearForm(syms, tuple(coeffs))
+        i = rng.randrange(n)
+        c = form.coeffs
+        want = [c[m | 1 << i] * c[m] for m in range(1 << n) if not m >> i & 1]
+        got = _eliminated(form, syms[i])
+        assert got.symbols == syms[:i] + syms[i + 1 :]
+        assert list(got.coeffs) == want
+        assert all(type(v) is Fraction for v in got.coeffs)
 
 
 def test_eliminate_unknown_from_product_equation():
