@@ -131,9 +131,19 @@ def _split(form: LinearForm, s: Symbol):
     """
     i = form.symbols.index(s)
     rest = form.symbols[:i] + form.symbols[i + 1 :]
-    clear = [m + (m >> i << i) for m in range(len(form.coeffs) >> 1)]
-    c = form.coeffs
-    return rest, [c[m | 1 << i] for m in clear], [c[m] for m in clear]
+    # masks come in runs of 2**i with the bit of s clear, then set; each
+    # list is filled by whichever slices are fewer, so no loop runs over
+    # more than about 2**(n/2) of them
+    c, run, half = form.coeffs, 1 << i, len(form.coeffs) >> 1
+    a, b = [None] * half, [None] * half
+    if run * run <= half:  # the j-th mask of every run
+        for j in range(run):
+            a[j::run], b[j::run] = c[run + j :: 2 * run], c[j :: 2 * run]
+    else:  # whole runs
+        for k in range(0, half, run):
+            a[k : k + run] = c[2 * k + run : 2 * k + 2 * run]
+            b[k : k + run] = c[2 * k : 2 * k + run]
+    return rest, a, b
 
 
 def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:

@@ -9,12 +9,15 @@ on that constituent's region.
 
 One evaluator serves every entry point.  It walks a tree flattened once
 into post-order, and each node holds its values at a whole row of points
-at once, as exact ints.  A point is one element of one model, and one
-pass evaluates many models side by side.  verify_solved evaluates each
-model once at m * 2**m points, one per element of each candidate class
-of the unknown, and keeps the candidates on which both sides agree at
-all m elements.  check_equation evaluates _BLOCK models per pass.
-holds is a pass at m points and eval_numeric a pass at one.
+at once, bit-sliced: a symbol's column is one int, and a node's value is
+its numerator as two's-complement bit planes, with bounds taken from the
+tree, over one static denominator, so fractions stay exact.  The sides
+differ where the planes of their difference have a bit set.  A point is
+one element of one model; a pass takes whole models while their points
+fit in _BLOCK.  verify_solved lays out each kept model once at m * 2**m
+points, one per element of each candidate class of the unknown.
+check_equation lays out each orbit's m elements.  holds is a pass at m
+points and eval_numeric a pass at one.
 
 Whether an equation holds in a model depends only on how many elements
 each constituent holds, not on which ones.  So the exhaustive checks
@@ -38,12 +41,14 @@ original division-free equation instead.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations_with_replacement, islice, product, repeat
-from math import comb
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, combinations_with_replacement, product
+from math import comb, lcm
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import QuotientInOracle, SymbolListMismatch, SymbolNotPresent
 from .errors import UniverseLimitExceeded
@@ -55,14 +60,17 @@ MAX_UNIVERSE = 8
 
 # Node evaluations, summed over universe sizes, that one exhaustive check
 # may plan: orbits x candidate classes (2**m for an unknown, 1 without) x
-# tree nodes.  At the slowest rate measured (about 0.29 us per node
-# evaluation, for verify_solved on a complement-heavy tree that keeps every
-# model, on a 2-vCPU x86-64 host) this is about seven seconds; a plan above
-# it is refused before anything runs.
+# tree nodes; a plan above it is refused before anything runs.  Measured on
+# a 2-vCPU x86-64 host, a node evaluation at the universe cap takes 0.005 to
+# 0.04 us on complement-heavy, wide-value ((x + y + 3)**8) and fractional
+# trees.  The slowest rate, about 0.2 us, is verify_solved over many one- or
+# two-element models of 8 to 16 free symbols, where the per-model
+# bookkeeping dominates: about five seconds at this budget.
 MAX_ORACLE_WORK = 25_000_000
 
-# Orbits that check_equation evaluates in one pass over the tree.
-_BLOCK = 512
+# Points that one pass of the evaluator covers: a pass takes whole models
+# in order while their points fit, and at least one.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -120,111 +128,204 @@ class SetAssignment:
         return "; ".join(parts)
 
 
-_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
 def _flatten(eq: Equation) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
     """Both sides of eq in post-order, walked once for every evaluation."""
     return tuple(_postorder(eq.lhs)), tuple(_postorder(eq.rhs))
 
 
-def _evaluate(
-    programs: tuple[tuple[Expr, ...], ...],
-    width: int,
-    columns: Mapping[Symbol, Sequence[int]],
-) -> list[list]:
-    """Each post-order program at `width` points, in one pass apiece.
+def _width(lo: int, hi: int) -> int:
+    """Two's-complement planes enough for every int from lo to hi."""
+    return max(lo, ~lo, hi, ~hi).bit_length() + 1
 
-    A point is one element of one model; the callers lay out the models
-    of a pass one after another.  columns[s] holds symbol s's 0/1 value
-    at every point.  Every node holds its values at all the points at
-    once, as exact ints (or Fractions, once a fractional constant takes
-    part).  A symbol missing from columns, or a quotient, raises where a
-    walk of the tree first meets it.
+
+def _extend(planes: list[int], width: int) -> list[int]:
+    """planes sign-extended, or cut, to width planes."""
+    return planes[:width] + [planes[-1]] * (width - len(planes))
+
+
+def _sum(x: list[int], y: list[int], carry: int) -> list[int]:
+    """x + y + carry modulo 2**len(x), plane by plane with a ripple carry."""
+    out = []
+    for a, b in zip(x, y):
+        out.append(a ^ b ^ carry)
+        carry = a & b | carry & (a ^ b)
+    return out
+
+
+def _constant(value: int, den: int, full: int) -> tuple:
+    """The row of value/den at every point."""
+    planes = [full if value >> i & 1 else 0 for i in range(_width(value, value))]
+    return planes, value, value, den
+
+
+def _product(x: tuple, y: tuple, full: int) -> tuple:
+    """x * y over the product of the denominators: a shifted copy of x
+    masked by each plane of y, the sign plane's copy subtracted."""
+    (xp, xlo, xhi, xd), (yp, ylo, yhi, yd) = x, y
+    ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+    lo, hi = min(ends), max(ends)
+    if lo == hi:
+        return _constant(lo, xd * yd, full)
+    width = _width(lo, hi)
+    if sum(map(bool, xp)) < sum(map(bool, yp)):
+        xp, yp = yp, xp
+    out = [0] * width
+    for i, plane in enumerate(yp[:width]):
+        if plane:
+            term = [0] * i + [p & plane for p in _extend(xp, width - i)]
+            if i == len(yp) - 1:
+                out = _sum(out, [p ^ full for p in term], full)
+            else:
+                out = _sum(out, term, 0)
+    return out, lo, hi, xd * yd
+
+
+def _linear(kind: type, x: tuple, y: tuple, full: int) -> tuple:
+    """x + y or x - y, each numerator rescaled to the lcm of the two
+    denominators."""
+    den = x[3]
+    if y[3] != den:
+        den = lcm(den, y[3])
+        x, y = (_product(r, _constant(den // r[3], 1, full), full) for r in (x, y))
+    (xp, xlo, xhi, _), (yp, ylo, yhi, _) = x, y
+    if kind is Add:
+        lo, hi, carry = xlo + ylo, xhi + yhi, 0
+    else:  # x + ~y + 1
+        lo, hi, carry = xlo - yhi, xhi - ylo, full
+        yp = [p ^ full for p in yp]
+    if lo == hi:
+        return _constant(lo, den, full)
+    width = _width(lo, hi)
+    return _sum(_extend(xp, width), _extend(yp, width), carry), lo, hi, den
+
+
+def _evaluate(programs: tuple, width: int, columns: Mapping[Symbol, int]) -> list:
+    """Each post-order program's row at `width` points, in one pass apiece.
+
+    Bit p of columns[s] is symbol s's value at point p.  A row is (planes,
+    lo, hi, den): at point p its value is n/den, where n, from lo to hi,
+    is read in two's complement from bit p of each plane, the last plane
+    the sign.  A symbol missing from columns, or a quotient, raises where
+    a walk of the tree first meets it.
     """
+    full = (1 << width) - 1
     results = []
     for program in programs:
         stack: list = []
         for node in program:
             kind = type(node)
             if kind is Sym:
-                try:
-                    stack.append(columns[node.symbol])
-                except KeyError:
-                    raise SymbolNotPresent(
-                        f"assignment does not cover symbol {node.symbol}"
-                    ) from None
+                if node.symbol not in columns:
+                    message = f"assignment does not cover symbol {node.symbol}"
+                    raise SymbolNotPresent(message)
+                stack.append(([columns[node.symbol], 0], 0, 1, 1))
             elif kind is Const:
                 v = node.value
-                stack.append([v.numerator if v.denominator == 1 else v] * width)
+                stack.append(_constant(v.numerator, v.denominator, full))
             elif kind is Compl:
-                stack.append(list(map(operator.sub, repeat(1), stack.pop())))
+                x = stack.pop()
+                stack.append(_linear(Sub, _constant(x[3], x[3], full), x, full))
             elif kind is Quot:
                 raise QuotientInOracle("formal division has no pointwise set meaning")
             else:
                 right = stack.pop()
-                stack.append(list(map(_ARITHMETIC[kind], stack.pop(), right)))
-        results.append(list(stack[0]))  # a bare symbol's column may be a tuple
+                if kind is Mul:
+                    stack.append(_product(stack.pop(), right, full))
+                else:
+                    stack.append(_linear(kind, stack.pop(), right, full))
+        results.append(stack[0])
     return results
 
 
-def _bits(assignment: SetAssignment) -> dict[Symbol, list[int]]:
-    """Each assigned symbol's 0/1 indicator at elements 0..m-1."""
-    elements = range(assignment.universe.size)
-    subsets = assignment.subsets.items()
-    return {s: [mask >> e & 1 for e in elements] for s, mask in subsets}
+def _differ(sides: tuple, width: int, columns: Mapping[Symbol, int]) -> int:
+    """The points, as a bitmask, where the two sides differ: the OR of the
+    planes of lhs*Dr - rhs*Dl."""
+    lhs, rhs = _evaluate(sides, width, columns)
+    return reduce(operator.or_, _linear(Sub, lhs, rhs, (1 << width) - 1)[0], 0)
 
 
-def _columns(syms: tuple[Symbol, ...], types: Sequence[int]) -> dict[Symbol, list[int]]:
-    """Each symbol's 0/1 value at elements of the given types; bit i of a
-    type puts the element in syms[i]."""
-    return {s: [t >> i & 1 for t in types] for i, s in enumerate(syms)}
+def _blocks(models: Iterable, points: Callable) -> Iterator[list]:
+    """Runs of consecutive models whose points fit in _BLOCK; a model
+    larger than that is a run of its own."""
+    block: list = []
+    total = 0
+    for model in models:
+        if block and total + points(model) > _BLOCK:
+            yield block
+            block, total = [], 0
+        block.append(model)
+        total += points(model)
+    if block:
+        yield block
 
 
-def _members(types: Sequence[int], masks: set[int]) -> int:
-    """The elements, as a bitmask, whose type is one of masks."""
-    return sum(1 << e for e, t in enumerate(types) if t in masks)
+# For each bit b of a byte, the text "0" or "1" of that bit of every byte.
+_BIT_TEXT = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+
+def _columns(syms: tuple[Symbol, ...], types: Iterable[int]) -> dict[Symbol, int]:
+    """Each symbol's column over points of the given element types; bit i
+    of a type puts its element in syms[i].  A type fits in 64 bits: a plan
+    over more symbols is refused on any universe with points."""
+    packed = array("Q", types)  # 8 bytes a point, read little-endian
+    if sys.byteorder == "big":
+        packed.byteswap()
+    points = packed.tobytes()
+    return {
+        s: int(points[i >> 3 :: 8].translate(_BIT_TEXT[i & 7])[::-1] or b"0", 2)
+        for i, s in enumerate(syms)
+    }
+
+
+def _classes(mask: int) -> int:
+    """The subsets of mask, as a bitmask with bit s set for each subset s:
+    the product of 1 + 2**(2**b) over the bits b of mask."""
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return reduce(operator.mul, [1 + (1 << (1 << b)) for b in bits], 1)
 
 
 @cache
-def _candidates(m: int) -> tuple[int, ...]:
-    """The unknown's column over all 2**m candidate classes: at point
-    (w, e), bit e of w."""
-    return tuple(w >> e & 1 for w in range(1 << m) for e in range(m))
+def _candidates(m: int) -> str:
+    """The unknown's column over an m-element model's 2**m candidate
+    classes, as binary text: point (w, e) at w*m + e holds bit e of w."""
+    return "".join(f"{w:0{m}b}" for w in reversed(range(1 << m)))[: m << m]
 
 
-def _solutions(
-    sides: tuple[tuple[Expr, ...], ...],
-    unknown: Symbol,
-    columns: Mapping[Symbol, list[int]],
-    m: int,
-) -> list[int]:
-    """Every w that satisfies the equation in an m-element model, in one pass.
+def _rejected(sides: tuple, unknown: Symbol, sizes: list[int], columns: dict) -> list:
+    """Each model's candidate classes that fail the equation, as a bitmask
+    with bit w set for a failing w, from one pass.
 
-    columns[s] is symbol s's 0/1 value at each element.  Point (w, e), at
-    index w*m + e, is element e with candidate w for the unknown; the
-    other symbols keep their columns at every w.
+    sizes holds each model's m.  Each model's m * 2**m points follow the
+    last model's, with point (w, e) at w*m + e among them: element e with
+    candidate w for the unknown, whose column is added to columns, the
+    other symbols keeping their columns at every w.
     """
-    count = 1 << m
-    wide = {s: column * count for s, column in columns.items()}
-    wide[unknown] = _candidates(m)
-    lhs, rhs = _evaluate(sides, m * count, wide)
-    return [w for w in range(count) if lhs[w * m : w * m + m] == rhs[w * m : w * m + m]]
+    text = "".join(_candidates(m) for m in reversed(sizes))
+    columns[unknown] = int(text or "0", 2)
+    width = len(text)
+    differ = f"{_differ(sides, width, columns):0{width}b}"[::-1]
+    out, start = [], 0
+    for m in sizes:
+        mine = differ[start : start + (m << m)]
+        rows = [int(mine[e::m][::-1], 2) for e in range(m)]  # element e, each w
+        out.append(reduce(operator.or_, rows, 0))
+        start += m << m
+    return out
 
 
 def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
     """Evaluate a division-free expression at one element, exactly."""
     if not 0 <= element < assignment.universe.size:
         raise ValueError(f"element {element} outside the universe")
-    columns = {s: [mask >> element & 1] for s, mask in assignment.subsets.items()}
-    (values,) = _evaluate((tuple(_postorder(e)),), 1, columns)
-    return Fraction(values[0])
+    columns = {s: mask >> element & 1 for s, mask in assignment.subsets.items()}
+    ((planes, _, _, den),) = _evaluate((tuple(_postorder(e)),), 1, columns)
+    unsigned = sum(p << i for i, p in enumerate(planes))
+    return Fraction(unsigned - (planes[-1] << len(planes)), den)
 
 
 def holds(eq: Equation, assignment: SetAssignment) -> bool:
     """True iff both sides agree numerically at every element."""
-    lhs, rhs = _evaluate(_flatten(eq), assignment.universe.size, _bits(assignment))
-    return lhs == rhs
+    return not _differ(_flatten(eq), assignment.universe.size, assignment.subsets)
 
 
 def _assignment(syms: tuple[Symbol, ...], types: tuple[int, ...]) -> SetAssignment:
@@ -289,9 +390,11 @@ def enumerate_solutions(
     """All subsets w for which the equation holds, ascending bit order."""
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
-    return _solutions(
-        _flatten(eq), unknown, _bits(assignment), assignment.universe.size
-    )
+    m = assignment.universe.size
+    repeat = sum(1 << w * m for w in range(1 << m))  # a column once per candidate
+    columns = {s: mask * repeat for s, mask in assignment.subsets.items()}
+    (rejected,) = _rejected(_flatten(eq), unknown, [m], columns)
+    return [w for w in assignment.universe.subsets() if not rejected >> w & 1]
 
 
 @dataclass(frozen=True)
@@ -337,11 +440,13 @@ def verify_solved(
     Every grouped constituent must be over the free symbols, or the
     check is refused with SymbolListMismatch.
 
-    Each kept model's solutions are enumerated once and compared with
-    the assembled classes.  sound: every assembled class is a solution.
-    complete: every solution is assembled by some v valuation.  The first
-    failure of either kind is reported, soundness before completeness
-    within a model.
+    Each kept model is evaluated once, in a pass with its neighbours, and
+    its rejected candidates and its assembled classes are compared as
+    bitmasks over the 2**m classes.  sound: every assembled class is a
+    solution.  complete: every solution is assembled by some v valuation.
+    The first failure of either kind is reported, soundness before
+    completeness within a model; a sound witness is the first failing
+    class in the order of the v valuations.
     """
     sides = _flatten(eq)
     syms = sol.free_symbols
@@ -360,31 +465,42 @@ def verify_solved(
                 f"the solution's free symbols {[s.name for s in syms]}"
             )
     included = {c.mask for c in sol.included}
+    order = {c.mask: j for j, c in enumerate(pieces)}  # the v-numbering
     side = {c.mask for c in sol.side_conditions}
     failures: dict[str, Counterexample] = {}
-    for types in orbits:
-        if side.intersection(types):
-            continue
-        m = len(types)
-        # an element lies in the constituent whose mask is its type
-        base = _members(types, included)
-        valuations = product(*(submasks(_members(types, {c.mask})) for c in pieces))
-        realized = [reduce(operator.or_, v, base) for v in valuations]
-        solutions = _solutions(sides, sol.unknown, _columns(syms, types), m)
-        for kind, classes, allowed, note in (
-            ("sound", realized, set(solutions),
-             "assembled class does not satisfy the equation"),
-            ("complete", solutions, set(realized),
-             "solution not assembled by any v valuation"),
-        ):
-            witness = next((w for w in classes if w not in allowed), None)
-            if witness is not None and kind not in failures:
-                a = _assignment(syms, types)
-                failures[kind] = Counterexample(
-                    kind, m, tuple(a.subsets.items()), sol.unknown, witness, note
-                )
+
+    def fail(kind: str, types: tuple[int, ...], witness: int, note: str) -> None:
+        a = _assignment(syms, types)
+        failures[kind] = Counterexample(
+            kind, len(types), tuple(a.subsets.items()), sol.unknown, witness, note
+        )
+
+    kept = (types for types in orbits if not side.intersection(types))
+    for block in _blocks(kept, lambda types: len(types) << len(types)):
         if len(failures) == 2:
             break
+        sizes = [len(types) for types in block]
+        points = chain.from_iterable(t * (1 << len(t)) for t in block)
+        columns = _columns(syms, points)
+        for types, rejected in zip(block, _rejected(sides, sol.unknown, sizes, columns)):
+            # an element lies in the constituent whose mask is its type
+            base = sum(1 << e for e, t in enumerate(types) if t in included)
+            present = sorted(order.keys() & set(types), key=order.get)
+            free = [sum(1 << e for e, t in enumerate(types) if t == c) for c in present]
+            realized = _classes(reduce(operator.or_, free, 0) & ~base) << base
+            if realized & rejected and "sound" not in failures:
+                valuations = product(*map(submasks, free))
+                assembled = (reduce(operator.or_, v, base) for v in valuations)
+                witness = next(w for w in assembled if rejected >> w & 1)
+                note = "assembled class does not satisfy the equation"
+                fail("sound", types, witness, note)
+            missed = ~rejected & ~realized & ((1 << (1 << len(types))) - 1)
+            if missed and "complete" not in failures:
+                witness = (missed & -missed).bit_length() - 1
+                note = "solution not assembled by any v valuation"
+                fail("complete", types, witness, note)
+            if len(failures) == 2:
+                break
     return VerificationReport(
         "sound" not in failures,
         "complete" not in failures,
@@ -398,17 +514,17 @@ def check_equation(
     """The first model on universes 0..max_universe where eq fails, if any.
 
     Models assign the given symbols, one per permutation orbit, smaller
-    universes first.  They are evaluated _BLOCK at a time, each orbit's
-    elements one after another, so the first point where the sides
-    differ lies in the first failing model.
+    universes first.  A pass takes orbits while their elements fit in
+    _BLOCK points, each orbit's elements one after another, so the lowest
+    point where the sides differ lies in the first failing model.
     """
     sides = _flatten(eq)
     orbits = _plan(sides, syms, 0, max_universe, False)
-    while block := list(islice(orbits, _BLOCK)):
+    for block in _blocks(orbits, len):
         points = list(chain.from_iterable(block))
-        lhs, rhs = _evaluate(sides, len(points), _columns(syms, points))
-        if lhs != rhs:
-            first = next(p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        differ = _differ(sides, len(points), _columns(syms, points))
+        if differ:
+            first = (differ & -differ).bit_length() - 1
             for types in block:
                 if first < len(types):
                     return _assignment(syms, types)

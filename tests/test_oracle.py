@@ -4,6 +4,7 @@ import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -42,6 +43,7 @@ from helpers import (
     assignments,
     naive_first_failure,
     naive_holds,
+    naive_value,
     naive_verify,
     random_expr,
     random_interpretable_expr,
@@ -403,21 +405,59 @@ def _recorded_widths(monkeypatch):
     return widths
 
 
+def _recorded_passes(monkeypatch, unknown):
+    """Record each verify pass as (points, sizes of its models in order).
+
+    The unknown's column lays out each model's candidates: on m elements,
+    point (c, e) at c*m + e holds bit e of candidate c, so the model's
+    lowest set bit is point (1, 0), at m.
+    """
+    from elective import oracle
+
+    passes = []
+    real = oracle._evaluate
+
+    def recorded(programs, width, columns):
+        column, start, sizes = columns[unknown], 0, []
+        while start < width:
+            rest = column >> start
+            m = (rest & -rest).bit_length() - 1
+            laid = sum(c << c * m for c in range(2**m))
+            assert rest & (2 ** (m * 2**m) - 1) == laid
+            sizes.append(m)
+            start += m * 2**m
+        assert start == width
+        passes.append((width, sizes))
+        return real(programs, width, columns)
+
+    monkeypatch.setattr(oracle, "_evaluate", recorded)
+    return passes
+
+
 def test_verify_evaluates_each_candidate_once(monkeypatch):
-    # one pass per kept model, at m points for each of its 2**m candidates:
-    # every model of x*w = w*x is kept; x*w = y keeps the models without an
-    # element of its side-condition type x'*y, C(m + 2, m) of them
-    widths = _recorded_widths(monkeypatch)
-    for text, kept_types in (("x*w = w*x", 2), ("x*w = y", 3)):
+    # each kept model is laid out once, in orbit order, at m points for
+    # each of its 2**m candidates, and a pass takes whole models while
+    # they fit the point budget: every model of x*w = w*x is kept; x*w = y
+    # keeps the models without an element of its side-condition type x'*y,
+    # C(m + 2, m) of them
+    from elective import oracle
+
+    passes = _recorded_passes(monkeypatch, w)
+    cases = (("x*w = w*x", 2), ("x*w = y", 3))
+    for budget, (text, kept_types) in product((oracle._BLOCK, 1, 40), cases):
+        monkeypatch.setattr(oracle, "_BLOCK", budget)
         eq = parse_equation(text)
         sol = solve_for(eq, w)
         for top in range(6):
-            widths.clear()
+            passes.clear()
             assert verify_solved(sol, eq, top).ok
-            kept = [comb(m + kept_types - 1, m) for m in range(top + 1)]
-            assert widths == [
-                m * 2**m for m in range(1, top + 1) for _ in range(kept[m])
+            kept = [
+                m for m in range(1, top + 1) for _ in range(comb(m + kept_types - 1, m))
             ]
+            assert [m for _, sizes in passes for m in sizes] == kept
+            assert sum(points for points, _ in passes) == sum(m * 2**m for m in kept)
+            for points, sizes in passes:
+                assert len(sizes) == 1 or points <= oracle._BLOCK
 
 
 @pytest.mark.parametrize(
@@ -431,24 +471,26 @@ def test_verify_evaluates_each_candidate_once(monkeypatch):
     ],
 )
 def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
-    # each pass is one model of size m at m*2**m points: its points / m
-    # candidates times the tree's nodes is the work the plan counts for it
+    # a model of size m is 2**m candidates, each evaluated once over the
+    # tree's nodes: that is the work the plan counts for it, whatever the
+    # point budget of a pass
+    from elective import oracle
     from elective.expr import _postorder
 
     eq = parse_equation(text)
     nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
-    widths = _recorded_widths(monkeypatch)
-    candidates = {m * 2**m: 2**m for m in range(1, 9)}
-    for name, sol in _corruptions(solve_for(eq, w, basis)).items():
+    passes = _recorded_passes(monkeypatch, w)
+    sols = _corruptions(solve_for(eq, w, basis)).items()
+    for budget, (name, sol) in product((oracle._BLOCK, 30), sols):
+        monkeypatch.setattr(oracle, "_BLOCK", budget)
         types = 2 ** len(sol.free_symbols)
         for top in range(5):
-            widths.clear()
+            passes.clear()
             verify_solved(sol, eq, top)
             planned = nodes * sum(
                 comb(m + types - 1, m) * 2**m for m in range(1, top + 1)
             )
-            assert set(widths) <= set(candidates), (name, top)
-            work = nodes * sum(candidates[n] for n in widths)
+            work = nodes * sum(2**m for _, sizes in passes for m in sizes)
             assert work <= planned, (name, top)
             if name == "exact" and not sol.side_conditions:
                 assert work == planned, (name, top)
@@ -566,6 +608,66 @@ def _random_equation(rng, syms):
         scale = Const(Fraction(rng.choice((-5, -1, 1, 3, 7)), rng.choice((2, 3, 4))))
         rhs = Sub(rhs, Mul(scale, random_expr(rng, syms, 2)))
     return Equation(lhs, rhs) if rng.random() < 0.5 else Equation(rhs, lhs)
+
+
+def _wide_tree(rng, syms, kind):
+    """A division-free tree whose values the bit planes find hard."""
+    e = random_expr(rng, syms, 3, fractional=True)
+    if kind == "wide":  # intermediates past 64 bits, cancelling or not
+        big = Const(Fraction(rng.choice((-1, 1)) * 3 ** rng.randint(41, 60), 7))
+        return Sub(Mul(big, e), Mul(big, random_expr(rng, syms, 2)))
+    if kind == "chain":
+        for _ in range(rng.randint(1, 40)):
+            e = Compl(e)
+        return e
+    if kind == "power":  # a product of sums, such as (x + y - 3)**4
+        s = Add(Sym(rng.choice(syms)), Sym(rng.choice(syms)))
+        s = Add(s, Const(rng.randint(-3, 3)))
+        p = s
+        for _ in range(rng.randint(1, 4)):
+            p = Mul(p, s)
+        return p
+    return e
+
+
+def test_bit_planes_match_the_naive_oracle(monkeypatch):
+    # every entry point against the element-by-element reference, with
+    # point budgets that split the passes between and inside models
+    from elective import oracle
+
+    rng = random.Random(1997)
+    kinds = ("plain", "wide", "chain", "power")
+    seen = {"wide": 0, "verified": 0, "failing": 0, "identities": 0}
+    for i in range(400):  # 800 trees
+        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 7, 50, 2**15)))
+        k = rng.randint(0, 2)
+        syms = XYZW[:k] + (w,)
+        lhs, rhs = (_wide_tree(rng, syms, rng.choice(kinds)) for _ in "lr")
+        if i % 4 == 0:  # an identity: every block of the check is evaluated
+            rhs = expand(lhs, syms).to_expr()
+        eq = Equation(lhs, rhs)
+        m = rng.randint(0, 3)
+        a = SetAssignment(Universe(m), {s: rng.randrange(1 << m) for s in syms})
+        if m:
+            e = rng.randrange(m)
+            value = naive_value(eq.lhs, a, e)
+            assert eval_numeric(eq.lhs, a, e) == value, str(eq.lhs)
+            seen["wide"] += abs(value) > 2**64
+        assert holds(eq, a) == naive_holds(eq, a), str(eq)
+        model = check_equation(eq, syms, 2)
+        first = naive_first_failure(eq, syms, 2)
+        assert (model and model.universe.size) == first, str(eq)
+        assert model is None or not naive_holds(eq, model)
+        seen["failing" if first is not None else "identities"] += 1
+        try:
+            sol = solve_for(eq, w, XYZW[:k])
+        except ElectiveError:
+            continue
+        shown = sol if i % 2 else _moved_to_excluded(rng, sol)
+        if shown is not None:
+            assert verdict(verify_solved(shown, eq, 2)) == naive_verify(shown, eq, 2)
+            seen["verified"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_enumerate_solutions_matches_per_candidate_reference():
