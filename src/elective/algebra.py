@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     EmptySymbolList,
@@ -114,16 +114,20 @@ def check_symbol_list(syms) -> tuple[Symbol, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constituent:
     """One region of the 2**n-fold partition of the universe.
 
     Bit i of mask set means the product takes symbols[i]; clear means it
-    takes the complement (1 - symbols[i]).
+    takes the complement (1 - symbols[i]).  Equal constituents have equal
+    masks, so the mask alone is the hash.
     """
 
     symbols: tuple[Symbol, ...]
     mask: int
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     def vertex(self) -> dict[Symbol, int]:
         """The 0/1 point at which this constituent's factor product is 1."""
@@ -133,13 +137,9 @@ class Constituent:
         return _product(_literals(self.symbols), self.mask)
 
     def __str__(self) -> str:
-        mask = self.mask
-        return "*".join(
-            [
-                s.name if mask >> i & 1 else f"{s.name}'"
-                for i, s in enumerate(self.symbols)
-            ]
-        )
+        m, syms = self.mask, self.symbols
+        factors = [s.name if m >> i & 1 else f"{s.name}'" for i, s in enumerate(syms)]
+        return "*".join(factors)
 
 
 def constituents(syms) -> tuple[Constituent, ...]:
@@ -148,27 +148,37 @@ def constituents(syms) -> tuple[Constituent, ...]:
     return tuple(Constituent(order, m) for m in range(1 << len(order)))
 
 
-def _display_terms(syms: tuple[Symbol, ...]) -> Iterator[tuple[int, str]]:
-    """(mask, constituent text) pairs in the traditional layout (xy, xy',
-    x'y, x'y'), one at a time; over no symbols the one text is empty.
+def _layout(n: int) -> Iterator[int]:
+    """The masks of n symbols in the traditional layout (xy, xy', x'y, x'y').
 
-    Each doubling puts the terms that take symbol i before those that do
-    not, so the first symbol, doubled last, varies slowest.  Its half of
-    the symbols leads the layout and the text, so two tables of 2**(n/2)
-    (mask, text) pairs give all 2**n.  Every factor in a table is followed
-    by '*', and a joined text drops its last one."""
+    At place p, bit i of the mask is the complement of bit n-1-i of p, so
+    the first symbol varies slowest, taken before its complement.  The
+    first half of the symbols follows the high bits of p, so two layouts
+    of 2**(n/2) masks give all 2**n."""
 
-    def layout(bits: range) -> list[tuple[int, str]]:
-        masks, texts = [0], [""]
-        for i in reversed(bits):
-            name = syms[i].name
-            masks = [m | 1 << i for m in masks] + masks
-            texts = [f"{name}*{t}" for t in texts] + [f"{name}'*{t}" for t in texts]
-        return list(zip(masks, texts))
+    def half(k: int) -> list[int]:
+        return [int(f"{p:0{k}b}"[::-1], 2) ^ (1 << k) - 1 for p in range(1 << k)]
 
-    n = len(syms)
-    high, low = layout(range(n // 2)), layout(range(n // 2, n))
-    return ((hm | lm, (ht + lt)[:-1]) for hm, ht in high for lm, lt in low)
+    h = n // 2
+    low = [m << h for m in half(n - h)]
+    return (hm | lm for hm in half(h) for lm in low)
+
+
+def _texts(syms: tuple[Symbol, ...]) -> Callable[[int], str]:
+    """The text str() gives any mask's constituent, from two tables of
+    2**(n/2) texts indexed by its bits over each half of the symbols."""
+    h = len(syms) // 2
+    first = [f"{Constituent(syms[:h], j)}*" for j in range(1 << h)] if h else [""]
+    second = [str(Constituent(syms[h:], j)) for j in range(1 << len(syms) - h)]
+    low = (1 << h) - 1
+    return lambda m: first[m & low] + second[m >> h]
+
+
+def _where(first: Constituent, others: int) -> str:
+    """The first of several constituents, and how many others there are."""
+    if not others:
+        return str(first)
+    return f"{first} and {others} other constituent{'s' if others > 1 else ''}"
 
 
 def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
@@ -338,8 +348,8 @@ class LinearForm:
 
     def display_items(self) -> Iterator[tuple[str, Coeff]]:
         """(constituent text, coefficient) pairs in the traditional layout."""
-        for m, text in _display_terms(self.symbols):
-            yield text, self.coeffs[m]
+        text, coeffs = _texts(self.symbols), self.coeffs
+        return ((text(m), coeffs[m]) for m in _layout(len(self.symbols)))
 
     def _nonclass(self) -> Iterator[int]:
         """Ascending masks whose coefficient is not 0 or 1; one test per object."""
@@ -385,7 +395,7 @@ class LinearForm:
         """Compact expression: non-zero terms in display order, 0 if none."""
         literals = _literals(self.symbols)
         out = None
-        for m, _ in _display_terms(self.symbols):
+        for m in _layout(len(self.symbols)):
             v = self.coeffs[m]
             _require_finite(v, "expression rebuild")
             if v != 0:
@@ -423,11 +433,9 @@ def expand(e: Expr, syms) -> LinearForm:
     values, extended, failed = _evaluate(e, width, value)
     if failed:
         bad = tuple(Constituent(order, m) for m in sorted(failed))
-        where, others = str(bad[0]), len(bad) - 1
-        if others:
-            where += f" and {others} other constituent{'s' if others > 1 else ''}"
         raise UninterpretableNesting(
-            f"development failed at {where}: {_terminal(*failed[bad[0].mask])}",
+            f"development failed at {_where(bad[0], len(bad) - 1)}: "
+            f"{_terminal(*failed[bad[0].mask])}",
             constituents=bad,
         )
     fractions = {v: Fraction(v) for v in set(values)}

@@ -30,7 +30,7 @@ from .algebra import (
     eval_at,
     expand,
 )
-from .errors import ElectiveError, ParseError
+from .errors import ElectiveError, ParseError, SymbolLimitExceeded
 from .expr import Symbol, format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
@@ -179,6 +179,8 @@ def _indicates_its_vertex(c, syms) -> bool:
 
 def cmd_partition(args) -> OutputDocument:
     syms = symbols(args.symbols)
+    if len(syms) > 15:  # its check builds a product per constituent: 5 s at 15
+        raise SymbolLimitExceeded(f"partition's cap is 15 symbols, not {len(syms)}")
     items = constituents(syms)
     # Products of literals naming every symbol, each 1 at its own one of the
     # 2**n vertices, are those vertices' indicators, so they sum to 1.
@@ -206,7 +208,7 @@ def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
     syms = _symbol_list(args.symbols, free_symbols(e))
     report = analyze(e, syms)
-    offending = ((str(c), v) for c, v in report.offending)
+    offending = report.offending_items()
     if args.json:
         entries = _term_entries(offending)
         payload = {

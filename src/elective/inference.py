@@ -27,12 +27,15 @@ equation is rendered as an Expr only when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import mul
 
 from .algebra import (
     Constituent,
     LinearForm,
-    _display_terms,
+    _layout,
     _require_basis,
+    _texts,
     check_symbol_list,
     constituents,
     eval_at,
@@ -99,11 +102,8 @@ class SolvedClass:
             for c in group:
                 _require_basis(c, syms)
                 code[c.mask] = k
-        texts: tuple[list[str], ...] = ([], [], [])
-        for m, text in _display_terms(syms):
-            if code[m] < 3:
-                texts[code[m]].append(text)
-        return texts
+        text, n = _texts(syms), len(syms)
+        return tuple([text(m) for m in _layout(n) if code[m] == k] for k in range(3))
 
     def describe(self) -> str:
         """One-line 'w = ...' plus side conditions; excluded texts are not made."""
@@ -146,21 +146,23 @@ def _split(form: LinearForm, s: Symbol):
     return rest, a, b
 
 
-def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
-    """The residual a*b of f = a*drop + b*drop', a product per distinct object pair."""
-    rest, a, b = _split(form, drop)
+def _per_pair(fn, a: list, b: list):
+    """fn(p, q) at each pair of a and b, taken once per distinct object pair."""
     distinct = dict(zip(zip(map(id, a), map(id, b)), zip(a, b)))
-    prod = {key: p * q for key, (p, q) in distinct.items()}
-    return LinearForm(rest, tuple(map(prod.__getitem__, zip(map(id, a), map(id, b)))))
+    value = {key: fn(p, q) for key, (p, q) in distinct.items()}
+    return map(value.__getitem__, zip(map(id, a), map(id, b)))
 
 
-def _check_unknown(unknown: Symbol, named, shown) -> None:
-    """The unknown must be named, and no named symbol may be a v-name.
+def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
+    """The residual a*b of f = a*drop + b*drop'."""
+    rest, a, b = _split(form, drop)
+    return LinearForm(rest, tuple(_per_pair(mul, a, b)))
 
-    shown() gives the equation for the error message.
-    """
+
+def _check_unknown(unknown: Symbol, named, where) -> None:
+    """The unknown must be named in `where`, and no named symbol may be a v-name."""
     if unknown not in named:
-        raise SymbolNotPresent(f"unknown {unknown} does not occur in {shown()}")
+        raise SymbolNotPresent(f"unknown {unknown} does not occur in {where}")
     reserved = [s for s in named if s.is_reserved]
     if reserved:
         raise NameCollision(
@@ -172,25 +174,18 @@ def _check_unknown(unknown: Symbol, named, shown) -> None:
 def _solved(form: LinearForm, unknown: Symbol) -> SolvedClass:
     """Read w = b / (b - a) at every constituent of the other symbols."""
     rest, a, b = _split(form, unknown)
-    included = []
-    excluded = []
-    indeterminate = []
-    side = []
-    # ascending mask order fixes the v-numbering
-    for c, am, bm in zip(constituents(rest), a, b):
-        if am == bm == 0:  # 0/0
-            indeterminate.append((Symbol(f"v{len(indeterminate) + 1}"), c))
-        elif am == 0:  # b/b
-            included.append(c)
-        elif bm == 0:  # 0/(-a)
-            excluded.append(c)
-        else:  # k/0, or b/(b - a) outside {0, 1}
-            side.append(c)
+    # group 2*(a != 0) + (b != 0): 0/0, b/b = 1, 0/(-a) = 0, or a side condition
+    group = bytes(_per_pair(lambda p, q: 2 * (p != 0) + (q != 0), a, b))
+    cs = constituents(rest)
+    pieces, included, excluded, side = (
+        compress(cs, map(k.__eq__, group)) for k in range(4)
+    )
     return SolvedClass(
         unknown=unknown,
         free_symbols=rest,
         included=frozenset(included),
-        indeterminate=tuple(indeterminate),
+        # ascending mask order fixes the v-numbering
+        indeterminate=tuple((Symbol(f"v{j}"), c) for j, c in enumerate(pieces, 1)),
         side_conditions=frozenset(side),
         excluded=frozenset(excluded),
     )
@@ -246,7 +241,7 @@ def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
     all_syms = eq.free_symbols()
-    _check_unknown(unknown, all_syms, lambda: eq)
+    _check_unknown(unknown, all_syms, eq)
     f = eq.homogeneous()
     _division_free(f, "solver input")
     if syms is None:
@@ -285,20 +280,19 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     named = eq.free_symbols()
     f = eq.homogeneous()
     form = expand(f, named) if named else LinearForm((), (eval_at(f, {}),))
-
-    def shown():  # eq is None once a residual replaced it, rendered on demand
-        return eq or EliminationResult(form).residual
-
+    where = eq  # a residual is named by its symbols: its text grows with 2**n
     for d in drop:
         if isinstance(d, str):
             d = Symbol(d)
         if d not in named:
-            raise SymbolNotPresent(f"symbol {d} does not occur in {shown()}")
-        form, eq = _eliminated(form, d), None
+            raise SymbolNotPresent(f"symbol {d} does not occur in {where}")
+        form = _eliminated(form, d)
         named = () if form.is_zero() else form.symbols
+        shown = "0 = 0" if form.symbols else f"{form} = 0"  # vanished, or a constant
+        where = f"the residual over {[s.name for s in named]}" if named else shown
     if conclude_for is None:
         return EliminationResult(form)
     if isinstance(conclude_for, str):
         conclude_for = Symbol(conclude_for)
-    _check_unknown(conclude_for, named, shown)
+    _check_unknown(conclude_for, named, where)
     return _solved(form, conclude_for)

@@ -14,8 +14,9 @@ the expression denotes a class after all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .algebra import Coeff, Constituent, LinearForm, expand
+from .algebra import Coeff, Constituent, LinearForm, _texts, _where, expand
 from .errors import NotInterpretable
 from .expr import Expr, free_symbols
 
@@ -42,11 +43,19 @@ class DivergenceReport:
         """The offending constituents: e denotes a class when all are empty."""
         return tuple(c for c, _ in self.offending)
 
+    def offending_items(self) -> Iterator[tuple[str, Coeff]]:
+        """(constituent text, coefficient) pairs outside {0, 1}, ascending mask."""
+        text, coeffs = _texts(self.form.symbols), self.form.coeffs
+        return ((text(m), coeffs[m]) for m in self.form._nonclass())
+
 
 def _require_interpretable(name: str, *forms: LinearForm) -> None:
     for f in forms:
-        if not f.is_interpretable():
-            raise NotInterpretable(f"{name} needs coefficients in {{0, 1}}; got {f}")
+        bad = list(f._nonclass())
+        if bad:
+            c = Constituent(f.symbols, bad[0])
+            got = f"{f.coeffs[bad[0]]} at {_where(c, len(bad) - 1)}"
+            raise NotInterpretable(f"{name} needs coefficients in {{0, 1}}; got {got}")
 
 
 def b_or(f: LinearForm, g: LinearForm) -> LinearForm:

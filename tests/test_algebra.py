@@ -338,6 +338,22 @@ def test_display_order_follows_the_bit_reversal_rule(n):
     assert format_linear_form(f) == " + ".join(f"{c.mask}*{c}" for c in want)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_mask_texts_match_the_constituent_text(n):
+    # the two half tables give each mask's text; str() joins its n factors
+    syms = _basis(n)
+    text = algebra._texts(syms)
+    masks = range(1 << n)
+    assert [text(m) for m in masks] == [str(Constituent(syms, m)) for m in masks]
+
+
+def test_constituent_hash_is_its_mask():
+    # equal constituents have equal masks; one mask over two bases is two
+    a, b = Constituent((x, y), 2), Constituent((y, x), 2)
+    assert hash(a) == hash(b) == hash(2) and a != b
+    assert len({a, b, Constituent((x, y), 2)}) == 2
+
+
 def test_display_order_refuses_constituents_over_different_symbol_lists():
     # one layout ranks masks of one basis; a mask of another means
     # another constituent, so a solution grouping one is refused

@@ -195,6 +195,20 @@ def test_partition_reports_a_planted_defect(capsys, monkeypatch, plant, n):
     assert (code, json.loads(out)["sum_is_one"]) == (2, False)
 
 
+def test_partition_refuses_16_symbols_before_building_anything(capsys, monkeypatch):
+    # one product per constituent is built and checked, so partition has its
+    # own cap, below the basis cap of 20
+    def refuse(syms):
+        raise AssertionError("constituents built above partition's cap")
+
+    monkeypatch.setattr(cli, "constituents", refuse)
+    names = ",".join(f"s{i}" for i in range(16))
+    for extra in ((), ("--json",)):
+        code, out, err = invoke(capsys, "partition", "--symbols", names, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: partition's cap is 15 symbols, not 16\n"
+
+
 def test_partition_symbol_cap(capsys):
     too_many = ",".join(f"s{i}" for i in range(21))
     code, _, err = invoke(capsys, "partition", "--symbols", too_many)
@@ -296,6 +310,10 @@ def test_cli_takes_only_public_names_from_the_package():
     ]
     assert [n.attr for n in reads] == ["to_expr"]
     assert reads[0] in list(ast.walk(check))
+    # offending constituents are written from offending_items(), by mask
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & {"offending", "interpretability_conditions"}
+    assert "offending_items" in attrs
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

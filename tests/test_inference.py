@@ -547,6 +547,18 @@ def test_vanished_residual_names_no_symbol():
         syllogism(premises, (x,), y)
 
 
+def test_missing_symbol_after_an_elimination_is_named_briefly_at_16_symbols():
+    # a residual is named by its symbols; its rendering grows with 2**n
+    ring = [parse_equation(f"s{i}*s{(i + 1) % 16}' = 0") for i in range(16)]
+    s0, rest = Symbol("s0"), [f"s{i}" for i in range(1, 16)]
+    with pytest.raises(SymbolNotPresent) as info:
+        syllogism(ring, (s0, s0))
+    assert str(info.value) == f"symbol s0 does not occur in the residual over {rest}"
+    with pytest.raises(SymbolNotPresent) as info:
+        syllogism(ring, (s0,), s0)
+    assert str(info.value) == f"unknown s0 does not occur in the residual over {rest}"
+
+
 def test_basis_over_the_cap_is_refused_up_front():
     many = symbols(" ".join(f"s{i}" for i in range(21)))
     total = Sym(many[0])

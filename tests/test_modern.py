@@ -7,6 +7,9 @@ from itertools import product
 import pytest
 
 from elective import (
+    DivergenceReport,
+    INDETERMINATE,
+    Infinite,
     LinearForm,
     NotInterpretable,
     Quot,
@@ -19,6 +22,7 @@ from elective import (
     b_or,
     expand,
     parse_expression,
+    symbols,
 )
 from helpers import XYZW, random_expr
 
@@ -58,6 +62,21 @@ def test_operations_require_interpretable_operands():
 def test_operations_require_matching_symbols():
     with pytest.raises(SymbolListMismatch):
         b_or(expand(X, (x,)), expand(Y, (y,)))
+
+
+def test_require_interpretable_message_stays_short_at_16_symbols():
+    # the message names the first offending constituent and counts the others
+    ring = " + ".join(f"s{i}*s{(i + 1) % 16}'" for i in range(16))
+    f = expand(parse_expression(ring), symbols(",".join(f"s{i}" for i in range(16))))
+    with pytest.raises(NotInterpretable) as info:
+        b_or(f, f)
+    offending = analyze(parse_expression(ring)).offending
+    c, v = offending[0]
+    assert str(info.value) == (
+        f"b_or needs coefficients in {{0, 1}}; got {v} at {c} "
+        f"and {len(offending) - 1} other constituents"
+    )
+    assert len(str(info.value)) < 300
 
 
 def test_disjoint_sum_is_union():
@@ -152,3 +171,24 @@ def test_offending_are_the_non_class_terms_of_expand_random():
         assert [type(v) for _, v in report.offending] == [type(v) for _, v in want]
         extended += any(not isinstance(v, Fraction) for _, v in want)
     assert failures and extended
+
+
+def test_offending_items_are_the_offending_pairs_as_text_random():
+    # interpretable forms, finite offenders, 0/0 and k/0, shared and fresh objects
+    rng = random.Random(59)
+    pool = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), INDETERMINATE,
+            Infinite(3)]
+    seen = set()
+    for i in range(300):
+        n = rng.randrange(6)
+        values = pool[:2] if i % 3 == 0 else pool
+        coeffs = [rng.choice(values) for _ in range(1 << n)]
+        if i % 2:
+            coeffs = [Fraction(v) if isinstance(v, Fraction) else v for v in coeffs]
+        syms = symbols(",".join(f"s{j}" for j in range(n))) if n else ()
+        report = DivergenceReport(parse_expression("0"), LinearForm(syms, tuple(coeffs)))
+        items = list(report.offending_items())
+        assert items == [(str(c), v) for c, v in report.offending]
+        seen.update(type(v).__name__ for _, v in items)
+        seen.add("interpretable" if report.interpretable else "not")
+    assert seen == {"Fraction", "Indeterminate", "Infinite", "interpretable", "not"}

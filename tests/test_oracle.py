@@ -708,20 +708,21 @@ def test_oracle_errors_come_from_the_first_offending_node(m, subsets, error, mes
 
 
 def _first_failure(eq, syms, max_universe):
-    """The index, in orbit order over all sizes, and model of the first failure."""
-    index = 0
+    """The points before the first failing orbit, in orbit order over all
+    sizes, that orbit's points, and its model."""
+    points = 0
     for m in range(max_universe + 1):
         for types in _orbit_types(m, len(syms)):
             a = _assignment(syms, types)
             if not naive_holds(eq, a):
-                return index, a
-            index += 1
+                return points, len(types), a
+            points += len(types)
     return None
 
 
 def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
-    # with the block size set around the first failing orbit, that orbit is
-    # the last of one pass and then the first of the next
+    # _BLOCK counts points: set to the points before the first failing
+    # orbit, that orbit starts a pass; set to those plus its own, it ends one
     from elective import oracle
 
     rng = random.Random(1864)
@@ -734,8 +735,8 @@ def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
             if first is None:
                 assert check_equation(eq, syms, max_m) is None
                 continue
-            index, model = first
-            for block in {index, index + 1} - {0}:
+            before, own, model = first
+            for block in {before, before + own} - {0}:
                 monkeypatch.setattr(oracle, "_BLOCK", block)
                 found = check_equation(eq, syms, max_m)
                 assert found.universe.size == model.universe.size
