@@ -18,7 +18,9 @@ only a non-integral quotient or a fractional constant brings in a
 Fraction.  By the development theorem every coefficient is a value of
 the expression at a vertex, and a form over 2**n constituents takes few
 distinct values, so `expand` makes one shared Fraction per distinct
-value.  Developing a quotient can additionally produce the two extended
+value.  Every coefficientwise operation between forms then runs once
+per distinct object, or pair of objects (_distinct and _pointwise).
+Developing a quotient can additionally produce the two extended
 values 0/0 (Indeterminate) and k/0 (Infinite, one per distinct k in a
 pass); both are terminal: they may sit in a developed form but never
 feed further arithmetic.
@@ -29,8 +31,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partialmethod
 from itertools import compress, count, repeat
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     EmptySymbolList,
@@ -302,6 +305,18 @@ def _require_finite(v: Coeff, context: str) -> None:
         raise UninterpretableNesting(_terminal(v, context))
 
 
+def _distinct(column) -> Iterable:
+    """Each distinct object of a column once, in order of first occurrence."""
+    return dict(zip(map(id, column), column)).values()
+
+
+def _pointwise(fn, a, b) -> Iterator:
+    """fn(p, q) at each pair of a and b, taken once per distinct object pair."""
+    distinct = dict(zip(zip(map(id, a), map(id, b)), zip(a, b)))
+    value = {key: fn(p, q) for key, (p, q) in distinct.items()}
+    return map(value.__getitem__, zip(map(id, a), map(id, b)))
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """A total map from the 2**n constituents to developed coefficients.
@@ -353,8 +368,7 @@ class LinearForm:
 
     def _nonclass(self) -> Iterator[int]:
         """Ascending masks whose coefficient is not 0 or 1; one test per object."""
-        distinct = dict(zip(map(id, self.coeffs), self.coeffs))
-        outside = {k for k, v in distinct.items() if not _is_class_coeff(v)}
+        outside = {id(v) for v in _distinct(self.coeffs) if not _is_class_coeff(v)}
         flags = map(outside.__contains__, map(id, self.coeffs))
         return compress(count(), flags) if outside else iter(())
 
@@ -373,23 +387,16 @@ class LinearForm:
                 f"{[s.name for s in self.symbols]} vs "
                 f"{[s.name for s in other.symbols]}"
             )
-        for v in (*self.coeffs, *other.coeffs):
+        for v in (*_distinct(self.coeffs), *_distinct(other.coeffs)):
             _require_finite(v, "form combination")
-        return LinearForm(
-            self.symbols,
-            tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        coeffs = _pointwise(op, self.coeffs, other.coeffs)
+        return LinearForm(self.symbols, tuple(coeffs))
 
     # Constituents are pairwise-orthogonal idempotents, so sums,
     # differences and products of forms are all coefficientwise.
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self._combine(other, lambda a, b: a - b)
-
-    def __mul__(self, other: "LinearForm") -> "LinearForm":
-        return self._combine(other, lambda a, b: a * b)
+    __add__ = partialmethod(_combine, op=operator.add)
+    __sub__ = partialmethod(_combine, op=operator.sub)
+    __mul__ = partialmethod(_combine, op=operator.mul)
 
     def to_expr(self) -> Expr:
         """Compact expression: non-zero terms in display order, 0 if none."""

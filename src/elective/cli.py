@@ -65,15 +65,9 @@ def _term_entries(pairs: Iterable[tuple[str, Coeff]]) -> list[dict]:
     return [{"constituent": t, "coefficient": _coeff_json(v)} for t, v in pairs]
 
 
-def _symbol_list(arg: str | None, fallback) -> tuple[Symbol, ...]:
-    if arg:
-        return symbols(arg)
-    return tuple(fallback)
-
-
 def cmd_expand(args) -> OutputDocument:
     e = parse_expression(args.expression)
-    syms = _symbol_list(args.symbols, free_symbols(e))
+    syms = symbols(args.symbols) if args.symbols else free_symbols(e)
     form = expand(e, syms)
     interpretable = form.is_interpretable()
     if args.json:
@@ -108,6 +102,8 @@ def cmd_solve(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     syms = symbols(args.symbols) if args.symbols else None
     sol = solve_for(eq, Symbol(args.unknown), syms)
+    if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
+        raise ValueError("--verify needs a --max-universe of at least 1")
     report = verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0
     if args.json:
@@ -131,18 +127,11 @@ def cmd_solve(args) -> OutputDocument:
     return OutputDocument(lines, exit_code)
 
 
-def _elimination_output(args, command: str, form, extra: dict) -> OutputDocument:
-    # form = 0 as EliminationResult.residual renders it: the non-zero terms
-    # with a coefficient of 1 left out, 0 if none, the constant over no symbols
-    terms = (
-        t if v == 1 and t else f"{coeff_factor_text(v)}*{t}".rstrip("*")
-        for t, v in form.display_items()
-        if v != 0
-    )
-    residual = f"{' + '.join(terms) or 0} = 0"
+def _elimination_output(args, command: str, result, extra: dict) -> OutputDocument:
     if not args.json:
-        return OutputDocument([residual])
-    payload = {"command": command, **extra, "residual": residual}
+        return OutputDocument([str(result)])
+    form = result.form
+    payload = {"command": command, **extra, "residual": str(result)}
     payload["terms"] = _term_entries(form.display_items()) if form.symbols else []
     return OutputDocument(payload)
 
@@ -151,7 +140,7 @@ def cmd_eliminate(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     result = eliminate(eq, Symbol(args.drop))
     return _elimination_output(
-        args, "eliminate", result.form, {"equation": str(eq), "dropped": [args.drop]}
+        args, "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
     )
 
 
@@ -165,7 +154,7 @@ def cmd_syllogism(args) -> OutputDocument:
         "dropped": [s.name for s in drops],
     }
     if not isinstance(result, SolvedClass):
-        return _elimination_output(args, "syllogism", result.form, extra)
+        return _elimination_output(args, "syllogism", result, extra)
     if not args.json:
         return OutputDocument([result.describe()])
     payload = {"command": "syllogism", **extra, **_solution_payload(result)}
@@ -206,7 +195,7 @@ def cmd_partition(args) -> OutputDocument:
 
 def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
-    syms = _symbol_list(args.symbols, free_symbols(e))
+    syms = symbols(args.symbols) if args.symbols else free_symbols(e)
     report = analyze(e, syms)
     offending = report.offending_items()
     if args.json:
@@ -235,7 +224,7 @@ def cmd_nyaya(args) -> OutputDocument:
 
 def cmd_check(args) -> OutputDocument:
     eq = parse_equation(args.equation)
-    syms = _symbol_list(args.symbols, eq.free_symbols())
+    syms = symbols(args.symbols) if args.symbols else eq.free_symbols()
     f = eq.homogeneous()
     # over no symbols, the form holding the constant, whose term names nothing
     form = expand(f, syms) if syms else LinearForm((), (eval_at(f, {}),))

@@ -27,6 +27,7 @@ equation is rendered as an Expr only when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import compress
 from operator import mul
 
@@ -34,9 +35,11 @@ from .algebra import (
     Constituent,
     LinearForm,
     _layout,
+    _pointwise,
     _require_basis,
     _texts,
     check_symbol_list,
+    coeff_factor_text,
     constituents,
     eval_at,
     expand,
@@ -64,8 +67,8 @@ class EliminationResult:
 
     form is the residual's development over the remaining symbols, never
     None: once every symbol is dropped it is the form over no symbols,
-    holding the constant.  The residual equation is rendered from form
-    each time it is read.
+    holding the constant.  The residual equation, and its text (str),
+    are rendered from form each time they are read.
     """
 
     form: LinearForm
@@ -74,6 +77,15 @@ class EliminationResult:
     def residual(self) -> Equation:
         """The expand-normalized residual equation form = 0."""
         return Equation(self.form.to_expr(), ZERO)
+
+    def __str__(self) -> str:
+        """str(self.residual), written from form without building the expression."""
+        terms = (
+            t if v == 1 and t else f"{coeff_factor_text(v)}*{t}".rstrip("*")
+            for t, v in self.form.display_items()
+            if v != 0
+        )
+        return f"{' + '.join(terms) or 0} = 0"
 
 
 @dataclass(frozen=True)
@@ -146,17 +158,10 @@ def _split(form: LinearForm, s: Symbol):
     return rest, a, b
 
 
-def _per_pair(fn, a: list, b: list):
-    """fn(p, q) at each pair of a and b, taken once per distinct object pair."""
-    distinct = dict(zip(zip(map(id, a), map(id, b)), zip(a, b)))
-    value = {key: fn(p, q) for key, (p, q) in distinct.items()}
-    return map(value.__getitem__, zip(map(id, a), map(id, b)))
-
-
 def _eliminated(form: LinearForm, drop: Symbol) -> LinearForm:
     """The residual a*b of f = a*drop + b*drop'."""
     rest, a, b = _split(form, drop)
-    return LinearForm(rest, tuple(_per_pair(mul, a, b)))
+    return LinearForm(rest, tuple(_pointwise(mul, a, b)))
 
 
 def _check_unknown(unknown: Symbol, named, where) -> None:
@@ -175,7 +180,7 @@ def _solved(form: LinearForm, unknown: Symbol) -> SolvedClass:
     """Read w = b / (b - a) at every constituent of the other symbols."""
     rest, a, b = _split(form, unknown)
     # group 2*(a != 0) + (b != 0): 0/0, b/b = 1, 0/(-a) = 0, or a side condition
-    group = bytes(_per_pair(lambda p, q: 2 * (p != 0) + (q != 0), a, b))
+    group = bytes(_pointwise(lambda p, q: 2 * (p != 0) + (q != 0), a, b))
     cs = constituents(rest)
     pieces, included, excluded, side = (
         compress(cs, map(k.__eq__, group)) for k in range(4)
@@ -219,10 +224,7 @@ def combine_premises(premises) -> Equation:
         f = p.homogeneous()
         _division_free(f, "premise")
         squares.append(Mul(f, f))
-    combined = squares[0]
-    for s in squares[1:]:
-        combined = Add(combined, s)
-    return Equation(combined, ZERO)
+    return Equation(reduce(Add, squares), ZERO)
 
 
 def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
@@ -288,8 +290,8 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
             raise SymbolNotPresent(f"symbol {d} does not occur in {where}")
         form = _eliminated(form, d)
         named = () if form.is_zero() else form.symbols
-        shown = "0 = 0" if form.symbols else f"{form} = 0"  # vanished, or a constant
-        where = f"the residual over {[s.name for s in named]}" if named else shown
+        residual = EliminationResult(form)  # unnamed: it vanished, or is a constant
+        where = f"the residual over {[s.name for s in named]}" if named else residual
     if conclude_for is None:
         return EliminationResult(form)
     if isinstance(conclude_for, str):
