@@ -36,7 +36,6 @@ from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
-    EmptySymbolList,
     InvalidSymbolList,
     SymbolLimitExceeded,
     SymbolListMismatch,
@@ -103,10 +102,8 @@ def coeff_factor_text(c: Coeff) -> str:
 
 
 def check_symbol_list(syms) -> tuple[Symbol, ...]:
-    """Validate an ordered symbol list: non-empty, unique, within the cap."""
+    """Validate an ordered symbol list: unique, within the cap; it may be empty."""
     out = tuple(Symbol(s) if isinstance(s, str) else s for s in syms)
-    if not out:
-        raise EmptySymbolList("a constituent basis needs at least one symbol")
     if len(out) > MAX_SYMBOLS:
         raise SymbolLimitExceeded(
             f"{len(out)} symbols exceed the cap of {MAX_SYMBOLS} "
@@ -140,9 +137,10 @@ class Constituent:
         return _product(_literals(self.symbols), self.mask)
 
     def __str__(self) -> str:
+        """The product of its factors; over no symbols, 1 (the universe)."""
         m, syms = self.mask, self.symbols
         factors = [s.name if m >> i & 1 else f"{s.name}'" for i, s in enumerate(syms)]
-        return "*".join(factors)
+        return "*".join(factors) or "1"
 
 
 def constituents(syms) -> tuple[Constituent, ...]:
@@ -175,6 +173,11 @@ def _texts(syms: tuple[Symbol, ...]) -> Callable[[int], str]:
     second = [str(Constituent(syms[h:], j)) for j in range(1 << len(syms) - h)]
     low = (1 << h) - 1
     return lambda m: first[m & low] + second[m >> h]
+
+
+def _times(factor: str, text: str) -> str:
+    """factor*text, with a text of 1 (the universe, over no symbols) left out."""
+    return factor if text == "1" else f"{factor}*{text}"
 
 
 def _where(first: Constituent, others: int) -> str:
@@ -453,8 +456,5 @@ def expand(e: Expr, syms) -> LinearForm:
 
 
 def format_linear_form(f: LinearForm) -> str:
-    """Full development as text, every constituent shown, display order.
-    Over no symbols the constituent text is empty: the constant stands alone."""
-    return " + ".join(
-        f"{coeff_factor_text(v)}*{t}".rstrip("*") for t, v in f.display_items()
-    )
+    """Full development as text, every constituent shown, display order."""
+    return " + ".join(_times(coeff_factor_text(v), t) for t, v in f.display_items())

@@ -53,7 +53,8 @@ def _coeff_json(v: Coeff):
 def _term_lines(form: LinearForm) -> Iterator[str]:
     """One line per term in display order, made as it is written."""
     for text, v in form.display_items():
-        line = f"{coeff_factor_text(v)}*{text}"
+        factor = coeff_factor_text(v)  # a text of 1 (no symbols) is left out
+        line = factor if text == "1" else f"{factor}*{text}"
         if isinstance(v, Infinite):
             line += f"  [side condition: {text} = 0]"
         elif isinstance(v, Indeterminate):
@@ -99,11 +100,11 @@ def _solution_payload(sol: SolvedClass) -> dict:
 
 
 def cmd_solve(args) -> OutputDocument:
+    if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
+        raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
     syms = symbols(args.symbols) if args.symbols else None
     sol = solve_for(eq, Symbol(args.unknown), syms)
-    if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
-        raise ValueError("--verify needs a --max-universe of at least 1")
     report = verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0
     if args.json:
@@ -225,11 +226,10 @@ def cmd_nyaya(args) -> OutputDocument:
 def cmd_check(args) -> OutputDocument:
     eq = parse_equation(args.equation)
     syms = symbols(args.symbols) if args.symbols else eq.free_symbols()
-    f = eq.homogeneous()
-    # over no symbols, the form holding the constant, whose term names nothing
-    form = expand(f, syms) if syms else LinearForm((), (eval_at(f, {}),))
+    form = expand(eq.homogeneous(), syms)
     identity = form.is_zero()
-    zeros = [t for t, v in form.display_items() if v == 0 and t]
+    # over no symbols the one constituent is the universe, not a zero to report
+    zeros = [t for t, v in form.display_items() if v == 0] if syms else []
     satisfiable = identity or bool(zeros)
 
     model = check_equation(eq, syms, args.max_universe)

@@ -7,10 +7,6 @@ class ElectiveError(Exception):
     """Base class for every domain error raised by this package."""
 
 
-class EmptySymbolList(ElectiveError):
-    """A constituent basis needs at least one symbol."""
-
-
 class InvalidSymbolList(ElectiveError):
     """A symbol list contains duplicates."""
 

@@ -38,10 +38,10 @@ from .algebra import (
     _pointwise,
     _require_basis,
     _texts,
+    _times,
     check_symbol_list,
     coeff_factor_text,
     constituents,
-    eval_at,
     expand,
 )
 from .errors import (
@@ -81,7 +81,7 @@ class EliminationResult:
     def __str__(self) -> str:
         """str(self.residual), written from form without building the expression."""
         terms = (
-            t if v == 1 and t else f"{coeff_factor_text(v)}*{t}".rstrip("*")
+            t if v == 1 else _times(coeff_factor_text(v), t)
             for t, v in self.form.display_items()
             if v != 0
         )
@@ -120,7 +120,7 @@ class SolvedClass:
     def describe(self) -> str:
         """One-line 'w = ...' plus side conditions; excluded texts are not made."""
         included, side, _ = replace(self, excluded=frozenset()).display_groups()
-        included += [f"{v}*{c}" for v, c in self.indeterminate]
+        included += [_times(str(v), str(c)) for v, c in self.indeterminate]
         head = [f"{self.unknown} = ", " + ".join(included) or "0"]
         where = ["  where ", " = 0, ".join(side), " = 0"] if side else []
         del included, side  # each text is now held once, in its joined piece
@@ -280,8 +280,7 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     """
     eq = combine_premises(premises)
     named = eq.free_symbols()
-    f = eq.homogeneous()
-    form = expand(f, named) if named else LinearForm((), (eval_at(f, {}),))
+    form = expand(eq.homogeneous(), named)
     where = eq  # a residual is named by its symbols: its text grows with 2**n
     for d in drop:
         if isinstance(d, str):

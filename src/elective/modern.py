@@ -14,7 +14,6 @@ the expression denotes a class after all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .algebra import Coeff, Constituent, LinearForm, _texts, _where, expand
@@ -74,7 +73,7 @@ def b_and(f: LinearForm, g: LinearForm) -> LinearForm:
 def b_not(f: LinearForm) -> LinearForm:
     """Complement: coefficientwise 1 - c on an interpretable form."""
     _require_interpretable("b_not", f)
-    return LinearForm(f.symbols, (Fraction(1),) * len(f.coeffs)) - f
+    return LinearForm.constant(f.symbols, 1) - f
 
 
 def analyze(e: Expr, syms=None) -> DivergenceReport:

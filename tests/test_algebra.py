@@ -14,7 +14,6 @@ from elective import (
     Const,
     Constituent,
     ElectiveError,
-    EmptySymbolList,
     Equation,
     INDETERMINATE,
     Infinite,
@@ -83,9 +82,14 @@ def test_constituents_three_symbols_term_for_term():
     }
 
 
+def test_constituents_no_symbols():
+    # over no symbols the universe is the one constituent, written 1
+    cs = constituents([])
+    assert [str(c) for c in cs] == ["1"]
+    assert cs[0].vertex() == {} and cs[0].to_expr() == ONE
+
+
 def test_constituents_errors():
-    with pytest.raises(EmptySymbolList):
-        constituents([])
     with pytest.raises(SymbolLimitExceeded):
         constituents([Symbol(f"s{i}") for i in range(21)])
     with pytest.raises(InvalidSymbolList):
@@ -368,33 +372,46 @@ def test_display_order_refuses_constituents_over_different_symbol_lists():
                     bad.describe()
 
 
+def _reference_text(c) -> str:
+    """A constituent's factors joined by '*'; over no symbols, 1."""
+    factors = [s.name + "'" * (1 - (c.mask >> i & 1)) for i, s in enumerate(c.symbols)]
+    return "*".join(factors) if factors else "1"
+
+
 def _reference_describe(sol) -> str:
     """The one-line solution, each group sorted into the layout by the rule."""
-    parts = [str(c) for c in reference_display_order(sol.included)]
-    parts += [f"{v}*{c}" for v, c in sol.indeterminate]
+    parts = [_reference_text(c) for c in reference_display_order(sol.included)]
+    for v, c in sol.indeterminate:  # v1*1 is written v1
+        parts.append(f"{v}*{_reference_text(c)}" if c.symbols else str(v))
     text = f"{sol.unknown} = " + (" + ".join(parts) if parts else "0")
     if sol.side_conditions:
-        conds = [f"{c} = 0" for c in reference_display_order(sol.side_conditions)]
+        conds = [
+            f"{_reference_text(c)} = 0"
+            for c in reference_display_order(sol.side_conditions)
+        ]
         text += "  where " + ", ".join(conds)
     return text
 
 
 def test_display_order_follows_the_rule_on_solved_groups():
     rng = random.Random(1854)
-    checked = 0
+    checked = bare = 0  # bare: solutions over no remaining symbols
     for _ in range(300):
-        syms = XYZW[: rng.randint(2, 4)]
+        syms = XYZW[: rng.randint(1, 4)]
         eq = Equation(random_expr(rng, syms, 4), random_expr(rng, syms, 3))
         try:
             sol = solve_for(eq, rng.choice(syms))
         except ElectiveError:
             continue
         groups = (sol.included, sol.side_conditions, sol.excluded)
-        want = tuple([str(c) for c in reference_display_order(g)] for g in groups)
+        want = tuple(
+            [_reference_text(c) for c in reference_display_order(g)] for g in groups
+        )
         assert sol.display_groups() == want
         assert sol.describe() == _reference_describe(sol)
         checked += sum(len(g) > 1 for g in groups)
-    assert checked > 100
+        bare += not sol.free_symbols
+    assert checked > 100 and bare > 10
 
 
 def test_to_expr_matches_a_term_by_term_rebuild():

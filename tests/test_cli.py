@@ -261,11 +261,64 @@ def test_check_unsatisfiable(capsys):
     assert "satisfiable: no" in out
 
 
-def test_expand_constant_needs_symbols(capsys):
-    # a closed expression has no free symbols to develop over
-    code, _, err = invoke(capsys, "expand", "1")
-    assert code == 2
-    assert "symbol" in err
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["expand", "1"], "1\ninterpretable\n"),
+        (["expand", "1/0"], "(1/0)  [side condition: 1 = 0]\nNOT INTERPRETABLE\n"),
+        (["expand", "0/0"], "(0/0)  [indeterminate]\nNOT INTERPRETABLE\n"),
+        (["compare", "2"], "NOT INTERPRETABLE\ncoefficient 2 at 1 (condition: 1 = 0)\n"),
+        (["solve", "x = 0", "--for", "x"], "x = 0\n"),
+        (["solve", "x = 1", "--for", "x"], "x = 1\n"),
+        (["solve", "2*x = 1", "--for", "x"], "x = 0  where 1 = 0\n"),
+        (["solve", "x = x", "--for", "x"], "x = v1\n"),
+        (
+            ["solve", "x = 1", "--for", "x", "--verify"],
+            "x = 1\nverified sound and complete on universes 1..4\n",
+        ),
+        # residual x' = 0: a = 0 and b = 1 at the one constituent, so w = 1
+        (
+            ["syllogism", "-p", "x*y = 0", "-p", "x = 1", "--drop", "y",
+             "--conclude-for", "x"],
+            "x = 1\n",
+        ),
+        (["partition", "--symbols", ""], "1\nsum = 1: OK\n"),
+    ],
+    ids=[
+        "expand-1", "expand-1/0", "expand-0/0", "compare-2", "solve-x=0",
+        "solve-x=1", "solve-2x=1", "solve-x=x", "solve-x=1-verify",
+        "syllogism-conclude", "partition-none",
+    ],
+)
+def test_no_symbols_is_an_ordinary_basis(capsys, argv, stdout):
+    # over no symbols the universe is the one constituent, written 1, and
+    # a factor of it is not written
+    assert invoke(capsys, *argv) == (0, stdout, "")
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["symbols"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, exit_code",
+    [
+        (["check", "0 = 0"], "identity: yes\nsatisfiable: yes\n"
+         "oracle: confirmed on universes 0..4\n", 0),
+        (["check", "1 = 2"], "identity: no\ncounterexample: universe size 1\n"
+         "satisfiable: no (no zero coefficient in the development)\n"
+         "oracle: confirmed on universes 0..4\n", 3),
+        (["syllogism", "-p", "x = 1", "-p", "x = 0", "--drop", "x"], "1 = 0\n", 0),
+        (["eliminate", "x = 1", "--drop", "x"], "0 = 0\n", 0),
+    ],
+    ids=["check-0=0", "check-1=2", "syllogism-1=0", "eliminate-0=0"],
+)
+def test_closed_equations_keep_their_output(capsys, argv, stdout, exit_code):
+    # the universe 1 is not reported as a zero constituent, and a residual
+    # over no symbols lists no terms
+    assert invoke(capsys, *argv) == (exit_code, stdout, "")
+    code, out, _ = invoke(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == exit_code and payload.get("zero_constituents", []) == []
+    assert payload.get("terms", []) == []
 
 
 def test_expand_terminal_value_feeding_arithmetic_exits_2(capsys):
@@ -435,6 +488,9 @@ def test_solve_max_universe_cap(capsys):
         (["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "-3"], 1,
          "negative"),
         (["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "0"], 1,
+         "at least 1"),
+        # refused before solving, which would fail: q does not occur
+        (["solve", "x*w = y", "--for", "q", "--verify", "--max-universe", "0"], 1,
          "at least 1"),
     ],
 )

@@ -1,8 +1,9 @@
 """A dead-code guard over the package source, by its syntax trees.
 
 Every imported name is used by the module that imports it, every
-module-level private name is used somewhere in the package, and the
-package's __init__ imports exactly what its __all__ exports.
+module-level private name is used somewhere in the package, every error
+type is constructed outside errors.py, and the package's __init__ imports
+exactly what its __all__ exports.
 """
 
 from __future__ import annotations
@@ -86,3 +87,18 @@ def test_the_package_imports_exactly_its_exports():
     assert len(exported) == len(set(exported))
     assert _imported(tree) == set(exported)
     assert set(exported) <= set(vars(elective))
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # an error type outlives its last raiser unless something constructs it
+    errors = TREES["errors"]
+    defined = {n.name for n in errors.body if isinstance(n, ast.ClassDef)}
+    constructed = {
+        node.func.id
+        for module, tree in TREES.items()
+        if module != "errors"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    unraised = sorted(defined - {"ElectiveError"} - constructed)
+    assert not unraised, f"errors.py defines {unraised} and nothing raises them"
