@@ -261,24 +261,11 @@ class Equation:
         return f"{format_expr(self.lhs)} = {format_expr(self.rhs)}"
 
 
-# Precedence levels used by the renderer; must agree with the parser.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POSTFIX = 3
-_PREC_ATOM = 4
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Quot)):
-        return _PREC_MUL
-    if isinstance(e, Compl):
-        return _PREC_POSTFIX
-    return _PREC_ATOM
-
-
-_OP_TEXT = {Add: " + ", Sub: " - ", Mul: "*", Quot: "/"}
+# The grammar's binary operators, written once for the parser and
+# format_expr: each node's text and precedence.  The postfix ' binds
+# tighter than all of them.
+_BINARY = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Quot: ("/", 2)}
+_POSTFIX = 3
 
 
 def format_expr(e: Expr) -> str:
@@ -294,7 +281,7 @@ def format_expr(e: Expr) -> str:
     # Pieces still to emit, next on top: literal text, or a (node, minimum
     # precedence) pair to render.  Nothing recurses, however deep the tree.
     out: list[str] = []
-    todo: list = [(e, _PREC_ADD)]
+    todo: list = [(e, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:
@@ -310,17 +297,17 @@ def format_expr(e: Expr) -> str:
             primes = 0
             while isinstance(node, Compl):
                 node, primes = node.operand, primes + 1
-            todo += ("'" * primes, (node, _PREC_POSTFIX))
-        elif type(node) not in _OP_TEXT:
+            todo += ("'" * primes, (node, _POSTFIX))
+        elif type(node) not in _BINARY:
             raise TypeError(f"unknown expression node {node!r}")
         else:
             # A same-precedence left operand never takes parentheses.
-            p = _prec(node)
+            p = _BINARY[type(node)][1]
             if p < min_prec:
                 out.append("(")
                 todo.append(")")
-            while _prec(node) == p:
-                todo += ((node.right, p + 1), _OP_TEXT[type(node)])
+            while (op := _BINARY.get(type(node))) and op[1] == p:
+                todo += ((node.right, p + 1), op[0])
                 node = node.left
             todo.append((node, p))
     return "".join(out)

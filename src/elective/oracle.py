@@ -15,7 +15,8 @@ tree, over one static denominator, so fractions stay exact.  The sides
 differ where the planes of their difference have a bit set.  A point is
 one element of one model; a pass takes whole models while their points
 fit in _BLOCK.  verify_solved lays out each kept model once at m * 2**m
-points, one per element of each candidate class of the unknown.
+points, one per element of each candidate class of the unknown; it keeps
+the models where every side condition holds, and every one-element model.
 check_equation lays out each orbit's m elements.  holds is a pass at m
 points and eval_numeric a pass at one.
 
@@ -437,6 +438,9 @@ def verify_solved(
     of the solution's free symbols (one per permutation orbit) in which
     each side-condition constituent is empty, and every valuation of the
     v-symbols (each ranging over subsets of its constituent's elements).
+    The one-element models whose element lies in a side-condition
+    constituent are checked too: the solution assembles no class there,
+    so it is complete only if every candidate class is rejected.
     Every grouped constituent must be over the free symbols, or the
     check is refused with SymbolListMismatch.
 
@@ -475,7 +479,7 @@ def verify_solved(
             kind, len(types), tuple(a.subsets.items()), sol.unknown, witness, note
         )
 
-    kept = (types for types in orbits if not side.intersection(types))
+    kept = (t for t in orbits if len(t) == 1 or not side.intersection(t))
     for block in _blocks(kept, lambda types: len(types) << len(types)):
         if len(failures) == 2:
             break
@@ -488,6 +492,8 @@ def verify_solved(
             present = sorted(order.keys() & set(types), key=order.get)
             free = [sum(1 << e for e, t in enumerate(types) if t == c) for c in present]
             realized = _classes(reduce(operator.or_, free, 0) & ~base) << base
+            if side.intersection(types):
+                realized = 0  # no class is assembled where a side condition fails
             if realized & rejected and "sound" not in failures:
                 valuations = product(*map(submasks, free))
                 assembled = (reduce(operator.or_, v, base) for v in valuations)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the surface expression language.
+"""Operator-precedence parser for the surface expression language.
 
 Grammar (whitespace insignificant):
 
@@ -13,161 +13,122 @@ Postfix ' binds tightest, then * / and juxtaposition, then + and binary -.
 A leading - negates the first term only.  Names matching v[0-9]+ parse
 normally but are reserved for generated indeterminate classes; the solver
 refuses input that uses them.
+
+The whole input is tokenized first, so a bad character anywhere is
+reported before any grammar error.  Then one loop over the tokens keeps
+an operand stack and a stack of operators waiting for their right
+operand (Dijkstra's shunting yard): an operator first applies the waiting
+ones that bind at least as tightly, and an open parenthesis waits as a
+marker that only its ')' removes.  The precedences are expr's, the ones
+format_expr writes by.  Nothing recurses, so nesting has no depth limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
-from .expr import (
-    Add,
-    Compl,
-    Const,
-    Equation,
-    Expr,
-    Mul,
-    Quot,
-    Sub,
-    Sym,
-    Symbol,
-    ZERO,
-)
+from .expr import _BINARY, SYMBOL_PATTERN, Compl, Const, Equation, Expr, Sub, Sym
+from .expr import Symbol, ZERO
 
+_NAME = SYMBOL_PATTERN.pattern.removesuffix(r"\Z")
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<sym>[a-z][a-z0-9_]*)|(?P<op>[-+*/()'=])"
+    rf"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<sym>{_NAME})|(?P<op>[-+*/()'=])|(?P<bad>.)",
+    re.DOTALL,
 )
 
-# Hard stop for pathological inputs such as thousands of open parentheses;
-# keeps arbitrary-byte fuzzing from hitting the interpreter recursion limit.
-_MAX_DEPTH = 200
+# a binary operator's token text -> (precedence, node type)
+_OPS = {text.strip(): (prec, kind) for kind, (text, prec) in _BINARY.items()}
 
 _EOF = "end of input"
+_OPERAND = "a number, a symbol or '('"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "sym" | "op" | "eof"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int, str]]:
+    """The tokens of text as (text, offset, kind), then the end of input."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
             raise ParseError(
-                pos, "a number, symbol, operator or parenthesis", repr(text[pos])
+                m.start(), "a number, symbol, operator or parenthesis", repr(m.group())
             )
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", _EOF, len(text)))
+            tokens.append((m.group(), m.start(), m.lastgroup))
+    tokens.append((_EOF, len(text), "eof"))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def _apply(operands: list[Expr], waiting: list, prec: int) -> None:
+    """Apply the waiting operators that bind at least as tightly as prec."""
+    while waiting and waiting[-1][0] >= prec:
+        kind = waiting.pop()[1]
+        right = operands.pop()
+        if kind is not None:
+            operands[-1] = kind(operands[-1], right)
+        elif type(right) is Const:  # a leading minus folds into an integer
+            operands.append(Const(-right.value))
+        else:
+            operands.append(Sub(ZERO, right))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept_op(self, *ops: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
-            return self.take()
-        return None
-
-    def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(tok.offset, expected, tok.text)
-
-    def expr(self) -> Expr:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(
-                self.peek().offset,
-                f"nesting no deeper than {_MAX_DEPTH} levels",
-                "deeper nesting",
-            )
-        try:
-            negate = self.accept_op("-") is not None
-            node = self.term()
-            if negate:
-                # Fold the sign into a bare integer literal; anything else
-                # becomes the explicit difference 0 - term.
-                node = Const(-node.value) if isinstance(node, Const) else Sub(ZERO, node)
-            while (tok := self.accept_op("+", "-")) is not None:
-                rhs = self.term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            return node
-        finally:
-            self.depth -= 1
-
-    def term(self) -> Expr:
-        node = self.postfix()
-        while True:
-            tok = self.accept_op("*", "/")
-            if tok is not None:
-                rhs = self.postfix()
-                node = Mul(node, rhs) if tok.text == "*" else Quot(node, rhs)
+def _parse(text: str, ends: tuple[str, ...]) -> list[Expr]:
+    """The top-level expressions of text, the i-th closed by the token ends[i]."""
+    tokens = _tokenize(text)
+    sides: list[Expr] = []
+    operands: list[Expr] = []
+    # (precedence, node type) of each operator waiting for its right
+    # operand.  An open parenthesis waits as (0, None), which no operator
+    # applies.  A leading minus waits as (precedence of -, None), so a
+    # later * or / binds tighter and a later + or - applies it first.
+    waiting: list[tuple[int, type | None]] = []
+    after_operand = False
+    for i, (tok, offset, kind) in enumerate(tokens):
+        if after_operand:
+            if tok == "'":
+                operands[-1] = Compl(operands[-1])
                 continue
-            nxt = self.peek()
-            if nxt.kind in ("int", "sym") or (nxt.kind == "op" and nxt.text == "("):
-                node = Mul(node, self.postfix())  # juxtaposition
+            if tok in (")", "=", _EOF):  # it closes a parenthesis or a side
+                _apply(operands, waiting, 1)  # all, down to an open parenthesis
+                if waiting:
+                    if tok != ")":
+                        raise ParseError(offset, "')'", tok)
+                    waiting.pop()
+                    continue
+                end = ends[len(sides)]
+                if tok != end:
+                    raise ParseError(offset, end if end == _EOF else repr(end), tok)
+                sides.append(operands.pop())
+                after_operand = False
                 continue
-            return node
-
-    def postfix(self) -> Expr:
-        node = self.atom()
-        while self.accept_op("'") is not None:
-            node = Compl(node)
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return Const(int(tok.text))
-        if tok.kind == "sym":
-            self.take()
-            return Sym(Symbol(tok.text))
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            node = self.expr()
-            if self.accept_op(")") is None:
-                raise self.fail("')'")
-            return node
-        raise self.fail("a number, a symbol or '('")
+            # a binary operator, or juxtaposition: then tok is read below
+            op = _OPS.get(tok, _OPS["*"])
+            _apply(operands, waiting, op[0])
+            waiting.append(op)
+            after_operand = False
+            if tok in _OPS:
+                continue
+        if kind == "int":
+            operands.append(Const(int(tok)))
+        elif kind == "sym":
+            operands.append(Sym(Symbol(tok)))
+        elif tok == "(":
+            waiting.append((0, None))
+            continue
+        elif tok == "-" and (i == 0 or tokens[i - 1][0] in ("(", "=")):
+            waiting.append((_OPS["-"][0], None))
+            continue
+        else:
+            raise ParseError(offset, _OPERAND, tok)
+        after_operand = True
+    return sides
 
 
 def parse_expression(text: str) -> Expr:
     """Parse a single expression; raises ParseError with the offset."""
-    p = _Parser(text)
-    node = p.expr()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
+    (node,) = _parse(text, (_EOF,))
     return node
 
 
 def parse_equation(text: str) -> Equation:
     """Parse 'expr = expr' with exactly one '=' at top level."""
-    p = _Parser(text)
-    lhs = p.expr()
-    if p.accept_op("=") is None:
-        raise p.fail("'='")
-    rhs = p.expr()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return Equation(lhs, rhs)
+    return Equation(*_parse(text, ("=", _EOF)))

@@ -223,6 +223,13 @@ def naive_verify(sol, eq: Equation, max_universe: int):
     for m in range(1, max_universe + 1):
         for a in assignments(Universe(m), sol.free_symbols):
             if any(region(c, a) for c in sol.side_conditions):
+                # a one-element model is kept, and no class is assembled
+                if m == 1 and any(
+                    naive_holds(eq, a.with_symbol(sol.unknown, w))
+                    for w in a.universe.subsets()
+                ):
+                    complete = False
+                    kind = kind or "complete"
                 continue
             base = 0
             for c in sol.included:

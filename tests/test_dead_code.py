@@ -1,9 +1,11 @@
-"""A dead-code guard over the package source, by its syntax trees.
+"""A dead-code and recursion guard over the package source, by its
+syntax trees.
 
 Every imported name is used by the module that imports it, every
 module-level private name is used somewhere in the package, every error
-type is constructed outside errors.py, and the package's __init__ imports
-exactly what its __all__ exports.
+type is constructed outside errors.py, the package's __init__ imports
+exactly what its __all__ exports, and no function calls itself, directly
+or through others.
 """
 
 from __future__ import annotations
@@ -102,3 +104,90 @@ def test_every_error_type_is_raised_in_the_package():
     }
     unraised = sorted(defined - {"ElectiveError"} - constructed)
     assert not unraised, f"errors.py defines {unraised} and nothing raises them"
+
+
+def _call_graph() -> dict[str, set[str]]:
+    """Each function of the package, by qualified name, and the package
+    functions it calls: a bare name bound to a function nested in an
+    enclosing one, defined in its module or imported from another module,
+    and self.name in a method, for a method of the same class.  A call on
+    anything else, super() included, is not followed."""
+    top = {
+        module: {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for module, tree in TREES.items()
+    }
+    graph: dict[str, set[str]] = {}
+    for module, tree in TREES.items():
+        bound = {name: f"{module}.{name}" for name in top[module]}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if a.name in top.get(node.module, ()):
+                        bound[a.asname or a.name] = f"{node.module}.{a.name}"
+        # (node, its qualified name, the names it sees, its class's methods)
+        todo = [(node, f"{module}.", bound, None) for node in tree.body]
+        while todo:
+            node, prefix, names, methods = todo.pop()
+            if isinstance(node, ast.ClassDef):
+                own = {
+                    n.name: f"{prefix}{node.name}.{n.name}"
+                    for n in node.body
+                    if isinstance(n, ast.FunctionDef)
+                }
+                inner = f"{prefix}{node.name}."
+                todo += [(n, inner, names, own) for n in node.body]
+                continue
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{prefix}{node.name}"
+            body, nested = [], []
+            stack = list(node.body)
+            while stack:
+                child = stack.pop()
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    nested.append(child)
+                else:
+                    body.append(child)
+                    stack += ast.iter_child_nodes(child)
+            sees = {**names, **{n.name: f"{name}.{n.name}" for n in nested}}
+            todo += [(n, f"{name}.", sees, methods) for n in nested]
+            calls = graph.setdefault(name, set())
+            for call in body:
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name) and f.id in sees:
+                    calls.add(sees[f.id])
+                elif (
+                    methods is not None
+                    and isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                    and f.attr in methods
+                ):
+                    calls.add(methods[f.attr])
+    return graph
+
+
+def test_no_function_recurses():
+    # every walk over a tree keeps its own stack, so depth costs no
+    # interpreter stack and no input can end in a RecursionError
+    graph = _call_graph()
+    assert "expr.Equation.free_symbols" in graph
+    assert graph["expr.Equation.free_symbols"] == {"expr.free_symbols"}
+    done: set[str] = set()
+    for root in graph:
+        # depth-first with an explicit path; a callee on the path is a cycle
+        path, todo = [], [(root, False)]
+        while todo:
+            name, leaving = todo.pop()
+            if leaving:
+                path.pop()
+                done.add(name)
+                continue
+            assert name not in path, " -> ".join(path[path.index(name) :] + [name])
+            if name in done:
+                continue
+            path.append(name)
+            todo.append((name, True))
+            todo += [(callee, False) for callee in graph.get(name, ())]

@@ -161,6 +161,28 @@ def test_verify_detects_dropped_side_condition():
     assert report.counterexample.kind == "sound"
 
 
+@pytest.mark.parametrize(
+    "text, moved, model",
+    [("x*w = y", "x*y'", "x = {0}; y = {}; w = {}"), ("2*w = 0", "1", "w = {}")],
+)
+def test_verify_checks_side_conditions(text, moved, model):
+    # an excluded constituent passed off as a side condition claims that no
+    # class solves the equation at its elements; a one-element model of it,
+    # solved by w = {}, refutes that
+    eq = parse_equation(text)
+    sol = solve_for(eq, w)
+    (c,) = [c for c in sol.excluded if str(c) == moved]
+    corrupted = replace(
+        sol, excluded=sol.excluded - {c}, side_conditions=sol.side_conditions | {c}
+    )
+    report = verify_solved(corrupted, eq, 4)
+    assert report.sound and not report.complete
+    cx = report.counterexample
+    assert (cx.kind, cx.universe_size, cx.witness) == ("complete", 1, 0)
+    assert f"size 1: {model} (" in str(cx)
+    assert verify_solved(sol, eq, 4).ok
+
+
 def test_verify_detects_missing_indeterminate():
     eq = parse_equation("x*w = y")
     sol = solve_for(eq, w)
@@ -438,21 +460,21 @@ def test_verify_evaluates_each_candidate_once(monkeypatch):
     # each kept model is laid out once, in orbit order, at m points for
     # each of its 2**m candidates, and a pass takes whole models while
     # they fit the point budget: every model of x*w = w*x is kept; x*w = y
-    # keeps the models without an element of its side-condition type x'*y,
-    # C(m + 2, m) of them
+    # keeps all 4 one-element models and, from two elements on, the models
+    # without an element of its side-condition type x'*y, C(m + 2, m) of them
     from elective import oracle
 
     passes = _recorded_passes(monkeypatch, w)
-    cases = (("x*w = w*x", 2), ("x*w = y", 3))
-    for budget, (text, kept_types) in product((oracle._BLOCK, 1, 40), cases):
+    cases = (("x*w = w*x", 2, 2), ("x*w = y", 4, 3))
+    for budget, (text, types, kept_types) in product((oracle._BLOCK, 1, 40), cases):
         monkeypatch.setattr(oracle, "_BLOCK", budget)
         eq = parse_equation(text)
         sol = solve_for(eq, w)
         for top in range(6):
             passes.clear()
             assert verify_solved(sol, eq, top).ok
-            kept = [
-                m for m in range(1, top + 1) for _ in range(comb(m + kept_types - 1, m))
+            kept = [1] * types * (top > 0) + [
+                m for m in range(2, top + 1) for _ in range(comb(m + kept_types - 1, m))
             ]
             assert [m for _, sizes in passes for m in sizes] == kept
             assert sum(points for points, _ in passes) == sum(m * 2**m for m in kept)

@@ -23,7 +23,7 @@ from elective import (
     parse_equation,
     parse_expression,
 )
-from helpers import XYZW, random_expr
+from helpers import XYZW, random_expr, run_elective
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)
@@ -127,9 +127,55 @@ def test_empty_input():
     assert info.value.offset == 0
 
 
-def test_deep_nesting_is_a_parse_error_not_a_crash():
-    with pytest.raises(ParseError):
-        parse_expression("(" * 5000 + "x" + ")" * 5000)
+def test_deep_parentheses_parse():
+    assert parse_expression("(" * 5000 + "x" + ")" * 5000) == X
+
+
+def test_deep_right_nesting_round_trips():
+    text = "x + (" * 4999 + "x + x" + ")" * 4999
+    expected = X
+    for _ in range(5000):
+        expected = Add(X, expected)
+    assert parse_expression(text) == expected
+    assert format_expr(expected) == text
+
+
+def test_cli_expands_deep_parentheses():
+    def expand(text):
+        done = run_elective("expand", text, capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    assert expand("(" * 3000 + "x" + ")" * 3000) == expand("x")
+
+
+_OPERAND = "a number, a symbol or '('"
+_EOF = "end of input"
+
+
+@pytest.mark.parametrize(
+    "parse, text, offset, expected, found",
+    [
+        (parse_expression, "", 0, _OPERAND, _EOF),
+        (parse_expression, "x +", 3, _OPERAND, _EOF),
+        (parse_expression, "(x", 2, "')'", _EOF),
+        (parse_expression, "x)", 1, _EOF, ")"),
+        (parse_expression, "--x", 1, _OPERAND, "-"),
+        (parse_expression, "x + -y", 4, _OPERAND, "-"),
+        (parse_expression, "x = y", 2, _EOF, "="),
+        (parse_equation, "x + y", 5, "'='", _EOF),
+        (parse_equation, "a = b = c", 6, _EOF, "="),
+        (parse_equation, "(x = y)", 3, "')'", "="),
+        (parse_expression, "x*/y", 2, _OPERAND, "/"),
+        (parse_expression, "()", 1, _OPERAND, ")"),
+        (parse_expression, "x'(", 3, _OPERAND, _EOF),
+        (parse_expression, "x ) Q", 4, "a number, symbol, operator or parenthesis", "'Q'"),
+    ],
+)
+def test_parse_error_table(parse, text, offset, expected, found):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    err = info.value
+    assert (err.offset, err.expected, err.found) == (offset, expected, found)
 
 
 def test_round_trip_seeded():
