@@ -6,14 +6,19 @@ produce byte-identical output.  --json switches to a schema-stable JSON
 document in which finite coefficients appear as {"num", "den"} integer
 pairs and extended coefficients as the strings "0/0" and "k/0".
 
-Exit codes: 0 success, 1 usage or parse error, 2 algebra-domain error,
-3 verification failure.
+Exit codes: 0 success, 1 usage or parse error (or output closed early),
+2 algebra-domain error, 3 verification failure.
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process; the argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,7 +153,7 @@ def cmd_eliminate(args) -> OutputDocument:
 def cmd_syllogism(args) -> OutputDocument:
     premises = [parse_equation(p) for p in args.premise]
     drops = symbols(args.drop) if args.drop else ()
-    conclude = Symbol(args.conclude_for) if args.conclude_for else None
+    conclude = Symbol(args.conclude_for) if args.conclude_for is not None else None
     result = syllogism(premises, drops, conclude)
     extra = {
         "premises": [str(p) for p in premises],
@@ -284,7 +289,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: callers must not change it."""
     parser = _ArgumentParser(
         prog="elective",
         description="Boole's elective-symbol algebra on constituent normal forms.",
@@ -310,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="develop an expression over its constituents")
     p.add_argument("expression")
     common(p)
-    p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("solve", help="solve an equation for one unknown class")
     p.add_argument("equation")
@@ -321,13 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively verify the solution against the set oracle",
     )
     common(p, with_universe=True)
-    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("eliminate", help="eliminate a symbol from an equation")
     p.add_argument("equation")
     p.add_argument("--drop", required=True, metavar="SYMBOL")
     common(p, with_symbols=False)
-    p.set_defaults(handler=cmd_eliminate)
 
     p = sub.add_parser(
         "syllogism", help="combine premises, eliminate middles, optionally conclude"
@@ -342,31 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop", default="", metavar="SYMBOLS")
     p.add_argument("--conclude-for", metavar="SYMBOL")
     common(p, with_symbols=False)
-    p.set_defaults(handler=cmd_syllogism)
 
     p = sub.add_parser("partition", help="list the 2**n constituents of a basis")
     p.add_argument("--symbols", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_partition)
 
     p = sub.add_parser(
         "compare", help="show where an expression leaves modern Boolean algebra"
     )
     p.add_argument("expression")
     common(p)
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("nyaya", help="three-valued negation table")
     p.add_argument("what", choices=["table"])
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_nyaya)
 
     p = sub.add_parser(
         "check", help="test whether an equation is an identity, with oracle"
     )
     p.add_argument("equation")
     common(p, with_universe=True)
-    p.set_defaults(handler=cmd_check)
 
     return parser
 
@@ -378,7 +378,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        doc = args.handler(args)
+        # looked up per call, not kept in the shared parser, so that a
+        # wrapper installed on the module later (a tracer) is the one called
+        doc = globals()[f"cmd_{args.command}"](args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
@@ -396,4 +398,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point fd 1 at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    raise SystemExit(code)

@@ -33,15 +33,18 @@ from elective import (
 XYZW = tuple(Symbol(n) for n in "xyzw")
 
 
-def run_elective(*argv: str, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m elective` as a child that imports the package under test,
-    installed or not."""
+def child_env() -> dict[str, str]:
+    """The environment of a Python child that imports the package under
+    test, installed or not."""
     src = str(Path(elective.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_elective(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m elective` as a child that imports the package under test."""
     return subprocess.run(
-        [sys.executable, "-m", "elective", *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        **kwargs,
+        [sys.executable, "-m", "elective", *argv], env=child_env(), **kwargs
     )
 
 

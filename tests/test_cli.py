@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from elective import (
     syllogism,
 )
 from elective.cli import main
-from helpers import XYZW, random_expr, reference_display_order, run_elective
+from helpers import XYZW, child_env, random_expr, reference_display_order, run_elective
 
 
 def invoke(capsys, *argv):
@@ -492,6 +494,11 @@ def test_solve_max_universe_cap(capsys):
         # refused before solving, which would fail: q does not occur
         (["solve", "x*w = y", "--for", "q", "--verify", "--max-universe", "0"], 1,
          "at least 1"),
+        # every option naming a symbol refuses the empty name the same way
+        (["solve", "x*w = y", "--for", ""], 1, "invalid symbol name ''"),
+        (["eliminate", "x*w = y", "--drop", ""], 1, "invalid symbol name ''"),
+        (["syllogism", "-p", "x*y' = 0", "-p", "y*z' = 0", "--drop", "y",
+          "--conclude-for", ""], 1, "invalid symbol name ''"),
     ],
 )
 def test_max_universe_out_of_range_is_refused(capsys, argv, exit_code, message):
@@ -545,3 +552,111 @@ def test_byte_identical_across_processes(argv):
     runs = [run_elective(*argv, capture_output=True) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+BARBARA = ["-p", "x*y' = 0", "-p", "y*z' = 0"]
+SORITES = [*BARBARA, "-p", "z*t' = 0", "--drop", "y,z"]
+
+# Every subcommand as text and as JSON, premises that must not carry over
+# from one call to the next, and each exit code.
+REUSE_SEQUENCE = [
+    (["expand", "y/x", "--symbols", "x,y"], 0),
+    (["expand", "y/x", "--symbols", "x,y", "--json"], 0),
+    (["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "2"], 0),
+    (["solve", "x*w = y", "--for", "w", "--json"], 0),
+    (["eliminate", "x*w - y = 0", "--drop", "w"], 0),
+    (["eliminate", "x*w - y = 0", "--drop", "w", "--json"], 0),
+    (["syllogism", *SORITES], 0),
+    (["syllogism", *SORITES, "--json"], 0),
+    (["syllogism", "-p", "x = y"], 0),
+    (["syllogism", "-p", "x = y", "--json"], 0),
+    (["syllogism", *BARBARA, "--drop", "y", "--conclude-for", "x"], 0),
+    (["syllogism", *BARBARA, "--drop", "y"], 0),
+    (["syllogism", *BARBARA, "--drop", "y", "--conclude-for", "x", "--json"], 0),
+    (["syllogism", *BARBARA, "--drop", "y", "--json"], 0),
+    (["partition", "--symbols", "x,y"], 0),
+    (["partition", "--symbols", "x,y", "--json"], 0),
+    (["compare", "x + y - z"], 0),
+    (["compare", "x + y - z", "--json"], 0),
+    (["nyaya", "table"], 0),
+    (["nyaya", "table", "--json"], 0),
+    (["check", "x*x = x"], 0),
+    (["check", "x*x = x", "--json"], 0),
+    (["solve", "x*w = y"], 1),  # usage error: --for is missing
+    (["--help"], 0),
+    (["syllogism", "--help"], 0),
+    (["expand", "x +* y"], 1),  # parse error
+    (["solve", "x*w = y", "--for", "q"], 2),  # algebra error
+    (["check", "x = y"], 3),  # not an identity
+    (["check", "x = y", "--json"], 3),
+    (["expand", "x"], 0),
+]
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    def call(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    cli.build_parser.cache_clear()
+    shared = [call(argv) for argv, _ in REUSE_SEQUENCE]
+    assert [r[0] for r in shared] == [code for _, code in REUSE_SEQUENCE]
+    for (argv, _), got in zip(REUSE_SEQUENCE, shared):
+        cli.build_parser.cache_clear()
+        assert got == call(argv), argv
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    code = """
+import argparse, contextlib, io
+made = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import elective.cli
+print(len(made))
+with contextlib.redirect_stdout(io.StringIO()):
+    elective.cli.main(["nyaya", "table"])
+    elective.cli.main(["expand", "x", "--json"])
+print(len(made))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the top parser and one per subcommand, all made by the first call
+    assert proc.stdout.split() == ["0", "9"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_closed_early_exits_1_without_a_traceback(json_flag):
+    # several hundred kilobytes: more than a pipe buffers, so writing blocks
+    ring = " + ".join(f"s{i}*s{(i + 1) % 14}'" for i in range(14))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "elective", "expand", ring, *json_flag],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_main_calls_the_command_function_the_module_holds_now(capsys, monkeypatch):
+    # a wrapper installed after the shared parser was built is still called
+    main(["nyaya", "table"])
+    original, seen = cli.cmd_nyaya, []
+
+    def wrapped(args):
+        seen.append(args.what)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_nyaya", wrapped)
+    assert main(["nyaya", "table"]) == 0
+    assert seen == ["table"]
+    capsys.readouterr()
