@@ -56,6 +56,7 @@ from .expr import (
     ZERO,
     _postorder,
     free_symbols,
+    symbols,
 )
 
 MAX_SYMBOLS = 20
@@ -102,8 +103,9 @@ def coeff_factor_text(c: Coeff) -> str:
 
 
 def check_symbol_list(syms) -> tuple[Symbol, ...]:
-    """Validate an ordered symbol list: unique, within the cap; it may be empty."""
-    out = tuple(Symbol(s) if isinstance(s, str) else s for s in syms)
+    """Read an ordered symbol list as `symbols` does and check it: within
+    the cap, no duplicates; it may be empty."""
+    out = symbols(syms)
     if len(out) > MAX_SYMBOLS:
         raise SymbolLimitExceeded(
             f"{len(out)} symbols exceed the cap of {MAX_SYMBOLS} "
@@ -417,8 +419,11 @@ class LinearForm:
         return format_linear_form(self)
 
 
-def expand(e: Expr, syms) -> LinearForm:
+def expand(e: Expr, syms=None) -> LinearForm:
     """Develop an expression over an ordered symbol list.
+
+    syms, read as `symbols` reads it, must name every symbol of e;
+    omitted, it is e's own symbols in first-occurrence order.
 
     The coefficient at each constituent is the pointwise evaluation of e
     at that constituent's vertex; one pass over the tree evaluates all
@@ -427,8 +432,9 @@ def expand(e: Expr, syms) -> LinearForm:
     aggregated: the error's message names the first offending constituent
     and how many others fail, and its .constituents lists them all.
     """
-    order = check_symbol_list(syms)
-    missing = [s for s in free_symbols(e) if s not in order]
+    named = free_symbols(e)
+    order = check_symbol_list(named if syms is None else syms)
+    missing = [s for s in named if s not in order]
     if missing:
         raise SymbolNotPresent(
             f"symbols {[s.name for s in missing]} occur in the expression "

@@ -73,8 +73,7 @@ def _term_entries(pairs: Iterable[tuple[str, Coeff]]) -> list[dict]:
 
 def cmd_expand(args) -> OutputDocument:
     e = parse_expression(args.expression)
-    syms = symbols(args.symbols) if args.symbols else free_symbols(e)
-    form = expand(e, syms)
+    form = expand(e, args.symbols)
     interpretable = form.is_interpretable()
     if args.json:
         payload = {
@@ -108,8 +107,7 @@ def cmd_solve(args) -> OutputDocument:
     if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
         raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
-    syms = symbols(args.symbols) if args.symbols else None
-    sol = solve_for(eq, Symbol(args.unknown), syms)
+    sol = solve_for(eq, Symbol(args.unknown), args.symbols)
     report = verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0
     if args.json:
@@ -136,9 +134,8 @@ def cmd_solve(args) -> OutputDocument:
 def _elimination_output(args, command: str, result, extra: dict) -> OutputDocument:
     if not args.json:
         return OutputDocument([str(result)])
-    form = result.form
-    payload = {"command": command, **extra, "residual": str(result)}
-    payload["terms"] = _term_entries(form.display_items()) if form.symbols else []
+    terms = _term_entries(result.form.display_items())
+    payload = {"command": command, **extra, "residual": str(result), "terms": terms}
     return OutputDocument(payload)
 
 
@@ -152,7 +149,7 @@ def cmd_eliminate(args) -> OutputDocument:
 
 def cmd_syllogism(args) -> OutputDocument:
     premises = [parse_equation(p) for p in args.premise]
-    drops = symbols(args.drop) if args.drop else ()
+    drops = symbols(args.drop)
     conclude = Symbol(args.conclude_for) if args.conclude_for is not None else None
     result = syllogism(premises, drops, conclude)
     extra = {
@@ -201,15 +198,14 @@ def cmd_partition(args) -> OutputDocument:
 
 def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
-    syms = symbols(args.symbols) if args.symbols else free_symbols(e)
-    report = analyze(e, syms)
+    report = analyze(e, args.symbols)
     offending = report.offending_items()
     if args.json:
         entries = _term_entries(offending)
         payload = {
             "command": "compare",
             "expression": format_expr(e),
-            "symbols": [s.name for s in syms],
+            "symbols": [s.name for s in report.form.symbols],
             "interpretable": report.interpretable,
             "offending": entries,
             "conditions": [entry["constituent"] for entry in entries],
@@ -230,14 +226,12 @@ def cmd_nyaya(args) -> OutputDocument:
 
 def cmd_check(args) -> OutputDocument:
     eq = parse_equation(args.equation)
-    syms = symbols(args.symbols) if args.symbols else eq.free_symbols()
-    form = expand(eq.homogeneous(), syms)
+    form = expand(eq.homogeneous(), args.symbols)
     identity = form.is_zero()
-    # over no symbols the one constituent is the universe, not a zero to report
-    zeros = [t for t, v in form.display_items() if v == 0] if syms else []
+    zeros = [t for t, v in form.display_items() if v == 0]
     satisfiable = identity or bool(zeros)
 
-    model = check_equation(eq, syms, args.max_universe)
+    model = check_equation(eq, form.symbols, args.max_universe)
     counterexample = None  # the first model on which the equation fails
     if model is not None:
         counterexample = f"universe size {model.universe.size}" + (
@@ -255,7 +249,7 @@ def cmd_check(args) -> OutputDocument:
         payload = {
             "command": "check",
             "equation": str(eq),
-            "symbols": [s.name for s in syms],
+            "symbols": [s.name for s in form.symbols],
             "identity": identity,
             "satisfiable": satisfiable,
             "zero_constituents": zeros,

@@ -45,10 +45,12 @@ class Symbol:
         return self.name
 
 
-def symbols(names: str) -> tuple[Symbol, ...]:
-    """Build a tuple of symbols from a comma- or space-separated string."""
-    parts = [n for n in re.split(r"[,\s]+", names.strip()) if n]
-    return tuple(Symbol(n) for n in parts)
+def symbols(names) -> tuple[Symbol, ...]:
+    """Read a symbol list: a comma- or space-separated string ("x,y",
+    "x y"; "ab" is one symbol, "" none) or an iterable of names and Symbols."""
+    if isinstance(names, str):
+        names = [n for n in re.split(r"[,\s]+", names) if n]
+    return tuple(n if isinstance(n, Symbol) else Symbol(n) for n in names)
 
 
 ExprLike = Union["Expr", Symbol, int, Fraction]

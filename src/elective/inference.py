@@ -58,6 +58,7 @@ from .expr import (
     Symbol,
     ZERO,
     contains_quotient,
+    symbols,
 )
 
 
@@ -236,32 +237,28 @@ def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
     included, 0 excluded, 0/0 indeterminate, anything else a side
     condition).
 
-    syms, when given, fixes the ordered remaining-symbol list; it must
-    cover the equation's free symbols apart from the unknown.  Otherwise
-    the remaining symbols are taken in first-occurrence order.
+    syms, when given, fixes the ordered remaining-symbol list, read as
+    `symbols` reads it; with the unknown it must cover the equation's
+    free symbols.  Otherwise the remaining symbols are taken in
+    first-occurrence order.
     """
     if isinstance(unknown, str):
         unknown = Symbol(unknown)
+    syms = None if syms is None else symbols(syms)  # bad names are refused first
     all_syms = eq.free_symbols()
     _check_unknown(unknown, all_syms, eq)
     f = eq.homogeneous()
     _division_free(f, "solver input")
     if syms is None:
-        remaining = check_symbol_list(s for s in all_syms if s != unknown)
-    else:
-        remaining = check_symbol_list(syms)
-        if unknown in remaining:
-            raise SymbolNotPresent(
-                f"the unknown {unknown} cannot be one of the remaining symbols"
-            )
-        missing = [s for s in all_syms if s != unknown and s not in remaining]
-        if missing:
-            raise SymbolNotPresent(
-                f"symbols {[s.name for s in missing]} occur in the equation "
-                "but not in the requested symbol list"
-            )
-        if any(s.is_reserved for s in remaining):
-            raise NameCollision("requested symbol list uses reserved v-names")
+        syms = [s for s in all_syms if s != unknown]
+    # vacuous on that default, whose v-names _check_unknown has refused
+    remaining = check_symbol_list(syms)
+    if unknown in remaining:
+        raise SymbolNotPresent(
+            f"the unknown {unknown} cannot be one of the remaining symbols"
+        )
+    if any(s.is_reserved for s in remaining):
+        raise NameCollision("requested symbol list uses reserved v-names")
     return _solved(expand(f, remaining + (unknown,)), unknown)
 
 
@@ -269,8 +266,9 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     """Combine premises, eliminate middle terms, optionally solve.
 
     Returns the final EliminationResult, or a SolvedClass when
-    conclude_for is given.  The combined premises are developed once;
-    elimination proceeds left to right through drop on that development.
+    conclude_for is given.  The combined premises are developed once,
+    over their own symbols; elimination proceeds left to right through
+    drop, a symbol list ("y,z" drops y then z), on that development.
     With an empty drop list the combined equation is just
     expand-normalized.
 
@@ -279,12 +277,10 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     or solve for.
     """
     eq = combine_premises(premises)
-    named = eq.free_symbols()
-    form = expand(eq.homogeneous(), named)
+    form = expand(eq.homogeneous())
+    named = form.symbols
     where = eq  # a residual is named by its symbols: its text grows with 2**n
-    for d in drop:
-        if isinstance(d, str):
-            d = Symbol(d)
+    for d in symbols(drop):
         if d not in named:
             raise SymbolNotPresent(f"symbol {d} does not occur in {where}")
         form = _eliminated(form, d)

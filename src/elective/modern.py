@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .algebra import Coeff, Constituent, LinearForm, _texts, _where, expand
 from .errors import NotInterpretable
-from .expr import Expr, free_symbols
+from .expr import Expr
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,10 @@ def b_not(f: LinearForm) -> LinearForm:
 
 
 def analyze(e: Expr, syms=None) -> DivergenceReport:
-    """Develop a division-free expression and report its non-{0,1} terms.
+    """Develop a division-free expression as expand(e, syms) does and
+    report its non-{0,1} terms.
 
     Each offending constituent, forced empty, removes its own violation;
     together they are the conditions under which e denotes a class.
     """
-    return DivergenceReport(e, expand(e, free_symbols(e) if syms is None else syms))
+    return DivergenceReport(e, expand(e, syms))

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import QuotientInOracle, SymbolListMismatch, SymbolNotPresent
 from .errors import UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
-from .expr import _postorder
+from .expr import _postorder, symbols
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
@@ -514,17 +514,16 @@ def verify_solved(
     )
 
 
-def check_equation(
-    eq: Equation, syms: tuple[Symbol, ...], max_universe: int = 4
-) -> SetAssignment | None:
+def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment | None:
     """The first model on universes 0..max_universe where eq fails, if any.
 
-    Models assign the given symbols, one per permutation orbit, smaller
-    universes first.  A pass takes orbits while their elements fit in
-    _BLOCK points, each orbit's elements one after another, so the lowest
-    point where the sides differ lies in the first failing model.
+    Models assign the symbols of syms, read as `symbols` reads them, one
+    per permutation orbit, smaller universes first.  A pass takes orbits
+    while their elements fit in _BLOCK points, each orbit's elements one
+    after another, so the lowest point where the sides differ lies in
+    the first failing model.
     """
-    sides = _flatten(eq)
+    sides, syms = _flatten(eq), symbols(syms)
     orbits = _plan(sides, syms, 0, max_universe, False)
     for block in _blocks(orbits, len):
         points = list(chain.from_iterable(block))

@@ -593,3 +593,16 @@ def test_expansion_is_a_homomorphism(e1, e2, op):
     f1, f2 = expand(e1, syms), expand(e2, syms)
     pieces = {"+": f1 + f2, "-": f1 - f2, "*": f1 * f2}[op]
     assert combined == pieces
+
+
+def test_a_form_needs_one_coefficient_per_constituent():
+    with pytest.raises(ValueError, match="^expected 4 coefficients, got 3$"):
+        LinearForm((x, y), (Fraction(0),) * 3)
+    with pytest.raises(ValueError, match="^expected 1 coefficients, got 2$"):
+        LinearForm((), (Fraction(0),) * 2)
+
+
+def test_infinite_needs_a_nonzero_numerator():
+    with pytest.raises(ValueError, match="non-zero numerator"):
+        Infinite(0)
+    assert str(Infinite(Fraction(-3, 2))) == "(-3/2)/0"

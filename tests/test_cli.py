@@ -15,6 +15,7 @@ from elective import (
     Equation,
     LinearForm,
     Symbol,
+    VerificationReport,
     cli,
     combine_premises,
     constituents,
@@ -22,6 +23,7 @@ from elective import (
     syllogism,
 )
 from elective.cli import main
+from elective.oracle import Counterexample
 from helpers import XYZW, child_env, random_expr, reference_display_order, run_elective
 
 
@@ -285,11 +287,12 @@ def test_check_unsatisfiable(capsys):
             "x = 1\n",
         ),
         (["partition", "--symbols", ""], "1\nsum = 1: OK\n"),
+        (["expand", "1", "--symbols", ""], "1\ninterpretable\n"),
     ],
     ids=[
         "expand-1", "expand-1/0", "expand-0/0", "compare-2", "solve-x=0",
         "solve-x=1", "solve-2x=1", "solve-x=x", "solve-x=1-verify",
-        "syllogism-conclude", "partition-none",
+        "syllogism-conclude", "partition-none", "expand-1-none",
     ],
 )
 def test_no_symbols_is_an_ordinary_basis(capsys, argv, stdout):
@@ -301,26 +304,28 @@ def test_no_symbols_is_an_ordinary_basis(capsys, argv, stdout):
 
 
 @pytest.mark.parametrize(
-    "argv, stdout, exit_code",
+    "argv, stdout, exit_code, json_terms",
     [
-        (["check", "0 = 0"], "identity: yes\nsatisfiable: yes\n"
-         "oracle: confirmed on universes 0..4\n", 0),
+        (["check", "0 = 0"], "identity: yes\nsatisfiable: yes (zero coefficient at 1)\n"
+         "oracle: confirmed on universes 0..4\n", 0, ["1"]),
         (["check", "1 = 2"], "identity: no\ncounterexample: universe size 1\n"
          "satisfiable: no (no zero coefficient in the development)\n"
-         "oracle: confirmed on universes 0..4\n", 3),
-        (["syllogism", "-p", "x = 1", "-p", "x = 0", "--drop", "x"], "1 = 0\n", 0),
-        (["eliminate", "x = 1", "--drop", "x"], "0 = 0\n", 0),
+         "oracle: confirmed on universes 0..4\n", 3, []),
+        (["syllogism", "-p", "x = 1", "-p", "x = 0", "--drop", "x"], "1 = 0\n", 0,
+         [{"constituent": "1", "coefficient": {"num": 1, "den": 1}}]),
+        (["eliminate", "x = 1", "--drop", "x"], "0 = 0\n", 0,
+         [{"constituent": "1", "coefficient": {"num": 0, "den": 1}}]),
     ],
     ids=["check-0=0", "check-1=2", "syllogism-1=0", "eliminate-0=0"],
 )
-def test_closed_equations_keep_their_output(capsys, argv, stdout, exit_code):
-    # the universe 1 is not reported as a zero constituent, and a residual
-    # over no symbols lists no terms
+def test_closed_equations_keep_their_output(capsys, argv, stdout, exit_code, json_terms):
+    # over no symbols the universe 1 is an ordinary constituent: check reports
+    # it as a zero constituent, and a residual's JSON lists its one term
     assert invoke(capsys, *argv) == (exit_code, stdout, "")
     code, out, _ = invoke(capsys, *argv, "--json")
     payload = json.loads(out)
-    assert code == exit_code and payload.get("zero_constituents", []) == []
-    assert payload.get("terms", []) == []
+    listed = payload["zero_constituents" if argv[0] == "check" else "terms"]
+    assert code == exit_code and listed == json_terms
 
 
 def test_expand_terminal_value_feeding_arithmetic_exits_2(capsys):
@@ -499,6 +504,16 @@ def test_solve_max_universe_cap(capsys):
         (["eliminate", "x*w = y", "--drop", ""], 1, "invalid symbol name ''"),
         (["syllogism", "-p", "x*y' = 0", "-p", "y*z' = 0", "--drop", "y",
           "--conclude-for", ""], 1, "invalid symbol name ''"),
+        (["solve", "x*w = y", "--for", "w", "--symbols", "x,w"], 2,
+         "error: the unknown w cannot be one of the remaining symbols\n"),
+        (["solve", "x*w = y", "--for", "w", "--symbols", "x,y,v1"], 2,
+         "error: requested symbol list uses reserved v-names\n"),
+        # --symbols "" is the empty basis, which names none of the input's symbols
+        (["expand", "x", "--symbols", ""], 2, "symbols ['x'] occur in"),
+        (["compare", "x", "--symbols", ""], 2, "symbols ['x'] occur in"),
+        (["check", "x = x", "--symbols", ""], 2, "symbols ['x'] occur in"),
+        (["solve", "x*w = 0", "--for", "w", "--symbols", ""], 2,
+         "symbols ['x'] occur in"),
     ],
 )
 def test_max_universe_out_of_range_is_refused(capsys, argv, exit_code, message):
@@ -660,3 +675,20 @@ def test_main_calls_the_command_function_the_module_holds_now(capsys, monkeypatc
     assert main(["nyaya", "table"]) == 0
     assert seen == ["table"]
     capsys.readouterr()
+
+
+def test_failed_verification_is_reported_with_exit_3(capsys, monkeypatch):
+    x, y, _, w = XYZW
+    failure = Counterexample("sound", 1, ((x, 1), (y, 0)), w, 1, "planted")
+    report = VerificationReport(sound=False, complete=True, counterexample=failure)
+    monkeypatch.setattr(cli, "verify_solved", lambda sol, eq, m: report)
+    code, out, err = invoke(capsys, "solve", "x*w = y", "--for", "w", "--verify")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[1] == (
+        "verification FAILED: sound failure on universe of size 1: "
+        "x = {0}; y = {}; w = {0} (planted)"
+    )
+    code, out, _ = invoke(capsys, "solve", "x*w = y", "--for", "w", "--verify", "--json")
+    verification = json.loads(out)["verification"]
+    assert code == 3 and verification["sound"] is False
+    assert verification["counterexample"] == str(failure)

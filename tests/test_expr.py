@@ -139,3 +139,26 @@ def test_deep_right_nested_trees_render(tree, text):
     assert str(tree) == text
     with pytest.raises(SymbolNotPresent, match="does not occur in"):
         eliminate(Equation(tree, ZERO), Symbol("q"))
+
+
+def _complements(leaf, depth):
+    out = leaf
+    for _ in range(depth):
+        out = Compl(out)
+    return out
+
+
+def test_constants_and_complements_hash_by_structure():
+    # equal trees hash equal, however deep; the node kind and value count
+    half = Fraction(1, 2)
+    assert hash(Const(half)) == hash(Const(Fraction(2, 4)))
+    assert hash(Compl(Sym(x))) == hash(Compl(Sym(x)))
+    assert hash(Const(1)) != hash(Const(2)) and hash(Compl(ONE)) != hash(ONE)
+    a, b = _complements(Const(half), 5000), _complements(Const(half), 5000)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, _complements(Const(half), 4999), _complements(ONE, 5000)}) == 3
+    mixed = [
+        Mul(Add(Compl(Sym(x)), Const(3)), Sub(Compl(Compl(Sym(y))), Const(half)))
+        for _ in range(2)
+    ]
+    assert mixed[0] is not mixed[1] and {mixed[0]: 1}[mixed[1]] == 1

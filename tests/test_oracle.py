@@ -765,3 +765,18 @@ def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
                 assert found.describe() == model.describe()
                 boundaries += 1
     assert boundaries > 60
+
+
+def test_verify_solved_refuses_an_equation_symbol_outside_the_solution():
+    sol = solve_for(parse_equation("x*w = y"), w)
+    with pytest.raises(SymbolNotPresent, match=r"^equation symbols \['z'\] are not"):
+        verify_solved(sol, parse_equation("x*w = y*z"), 2)
+
+
+def test_set_assignment_subsets_lie_in_the_universe():
+    with pytest.raises(ValueError, match="^subset for x exceeds the universe$"):
+        SetAssignment(Universe(2), {x: 0b100})
+    a = SetAssignment(Universe(2), {x: 0b11})
+    assert a.subset(x) == 3
+    with pytest.raises(SymbolNotPresent, match="^assignment does not cover symbol y$"):
+        a.subset(y)
