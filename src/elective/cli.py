@@ -36,11 +36,11 @@ from .algebra import (
     expand,
 )
 from .errors import ElectiveError, ParseError, SymbolLimitExceeded
-from .expr import Symbol, format_expr, free_symbols, symbols
+from .expr import format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
-from .oracle import check_equation, verify_solved
+from .oracle import Universe, check_equation, verify_solved
 from .parsing import parse_equation, parse_expression
 
 @dataclass
@@ -104,10 +104,11 @@ def _solution_payload(sol: SolvedClass) -> dict:
 
 
 def cmd_solve(args) -> OutputDocument:
+    Universe(args.max_universe)  # a bound out of range is refused before parsing
     if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
         raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
-    sol = solve_for(eq, Symbol(args.unknown), args.symbols)
+    sol = solve_for(eq, args.unknown, args.symbols)
     report = verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0
     if args.json:
@@ -141,7 +142,7 @@ def _elimination_output(args, command: str, result, extra: dict) -> OutputDocume
 
 def cmd_eliminate(args) -> OutputDocument:
     eq = parse_equation(args.equation)
-    result = eliminate(eq, Symbol(args.drop))
+    result = eliminate(eq, args.drop)
     return _elimination_output(
         args, "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
     )
@@ -150,8 +151,7 @@ def cmd_eliminate(args) -> OutputDocument:
 def cmd_syllogism(args) -> OutputDocument:
     premises = [parse_equation(p) for p in args.premise]
     drops = symbols(args.drop)
-    conclude = Symbol(args.conclude_for) if args.conclude_for is not None else None
-    result = syllogism(premises, drops, conclude)
+    result = syllogism(premises, drops, args.conclude_for)
     extra = {
         "premises": [str(p) for p in premises],
         "dropped": [s.name for s in drops],
@@ -225,11 +225,11 @@ def cmd_nyaya(args) -> OutputDocument:
 
 
 def cmd_check(args) -> OutputDocument:
+    Universe(args.max_universe)  # a bound out of range is refused before parsing
     eq = parse_equation(args.equation)
     form = expand(eq.homogeneous(), args.symbols)
     identity = form.is_zero()
     zeros = [t for t, v in form.display_items() if v == 0]
-    satisfiable = identity or bool(zeros)
 
     model = check_equation(eq, form.symbols, args.max_universe)
     counterexample = None  # the first model on which the equation fails
@@ -251,7 +251,7 @@ def cmd_check(args) -> OutputDocument:
             "equation": str(eq),
             "symbols": [s.name for s in form.symbols],
             "identity": identity,
-            "satisfiable": satisfiable,
+            "satisfiable": bool(zeros),
             "zero_constituents": zeros,
             "oracle": {
                 "max_universe": args.max_universe,
@@ -263,9 +263,8 @@ def cmd_check(args) -> OutputDocument:
     lines = [f"identity: {'yes' if identity else 'no'}"]
     if not identity and counterexample:
         lines.append(f"counterexample: {counterexample}")
-    if satisfiable:
-        detail = f" (zero coefficient at {zeros[0]})" if zeros else ""
-        lines.append(f"satisfiable: yes{detail}")
+    if zeros:
+        lines.append(f"satisfiable: yes (zero coefficient at {zeros[0]})")
     else:
         lines.append("satisfiable: no (no zero coefficient in the development)")
     lines.append(

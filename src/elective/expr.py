@@ -89,45 +89,19 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
-    # Structural equality, hashing and repr walk the tree with their own
+    # Equality and hashing read one post-order walk, and repr keeps its own
     # stack, so a 3000-term sum compares, hashes and prints like a short one.
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind is Compl:
-                pairs.append((a.operand, b.operand))
-            elif kind in (Add, Sub, Mul, Quot):
-                pairs += ((a.right, b.right), (a.left, b.left))
-            elif kind is Const:
-                if a.value != b.value:
-                    return False
-            elif a.symbol != b.symbol:
-                return False
-        return True
+        if self is other:
+            return True
+        # the root's type first: a constant and a sum differ at once
+        return type(self) is type(other) and _shape(self) == _shape(other)
 
     def __hash__(self) -> int:
-        hashes: list[int] = []
-        for node in _postorder(self):
-            kind = type(node)
-            if kind is Const:
-                hashes.append(hash((kind, node.value)))
-            elif kind is Sym:
-                hashes.append(hash((kind, node.symbol)))
-            elif kind is Compl:
-                hashes.append(hash((kind, hashes.pop())))
-            else:
-                right = hashes.pop()
-                hashes.append(hash((kind, hashes.pop(), right)))
-        return hashes[0]
+        return hash(tuple(_shape(self)))
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -169,29 +143,25 @@ class Sym(Expr):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Add(Expr):
+class _Binary(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Quot(Expr):
+class Mul(_Binary):
+    pass
+
+
+class Quot(_Binary):
     """Formal division.  Only meaningful through development (see expand)."""
-
-    left: Expr
-    right: Expr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -226,12 +196,22 @@ def _postorder(e: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         order.append(node)
-        kind = type(node)
-        if kind is Compl:
+        if type(node) is Compl:
             stack.append(node.operand)
-        elif kind in (Add, Sub, Mul, Quot):
+        elif isinstance(node, _Binary):
             stack += (node.left, node.right)
     return reversed(order)
+
+
+def _shape(e: Expr) -> list[tuple]:
+    """e's nodes in post-order as (node type, constant or symbol) pairs.
+
+    Every node type has a fixed arity, so equal shapes mean equal trees.
+    """
+    return [
+        (type(n), n.value if type(n) is Const else getattr(n, "symbol", None))
+        for n in _postorder(e)
+    ]
 
 
 def free_symbols(e: Expr) -> tuple[Symbol, ...]:

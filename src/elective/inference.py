@@ -197,10 +197,10 @@ def _solved(form: LinearForm, unknown: Symbol) -> SolvedClass:
     )
 
 
-def eliminate(eq: Equation, drop: Symbol) -> EliminationResult:
-    """Remove one symbol from f = 0 via the residual f[1] * f[0] = 0."""
-    if isinstance(drop, str):
-        drop = Symbol(drop)
+def eliminate(eq: Equation, drop: Symbol | str) -> EliminationResult:
+    """Remove one symbol, drop (a name or a Symbol), from f = 0 via the
+    residual f[1] * f[0] = 0."""
+    (drop,) = symbols([drop])
     syms = eq.free_symbols()
     if drop not in syms:
         raise SymbolNotPresent(f"symbol {drop} does not occur in {eq}")
@@ -228,22 +228,21 @@ def combine_premises(premises) -> Equation:
     return Equation(reduce(Add, squares), ZERO)
 
 
-def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
+def solve_for(eq: Equation, unknown: Symbol | str, syms=None) -> SolvedClass:
     """Solve a division-free equation for one unknown class.
 
     Develops f over the remaining symbols and the unknown, pairs
     a = f[w:=1] with b = f[w:=0] at each constituent of the remaining
     symbols, and reads the coefficient of w = b / (b - a) there (1
     included, 0 excluded, 0/0 indeterminate, anything else a side
-    condition).
+    condition).  The unknown is a name or a Symbol.
 
     syms, when given, fixes the ordered remaining-symbol list, read as
     `symbols` reads it; with the unknown it must cover the equation's
     free symbols.  Otherwise the remaining symbols are taken in
     first-occurrence order.
     """
-    if isinstance(unknown, str):
-        unknown = Symbol(unknown)
+    (unknown,) = symbols([unknown])
     syms = None if syms is None else symbols(syms)  # bad names are refused first
     all_syms = eq.free_symbols()
     _check_unknown(unknown, all_syms, eq)
@@ -262,7 +261,7 @@ def solve_for(eq: Equation, unknown: Symbol, syms=None) -> SolvedClass:
     return _solved(expand(f, remaining + (unknown,)), unknown)
 
 
-def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
+def syllogism(premises, drop=(), conclude_for: Symbol | str | None = None):
     """Combine premises, eliminate middle terms, optionally solve.
 
     Returns the final EliminationResult, or a SolvedClass when
@@ -270,17 +269,21 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
     over their own symbols; elimination proceeds left to right through
     drop, a symbol list ("y,z" drops y then z), on that development.
     With an empty drop list the combined equation is just
-    expand-normalized.
+    expand-normalized.  conclude_for is a name or a Symbol.  Both are
+    read before anything is combined, so a bad name is refused at once.
 
     Each step sees the symbols its rendered input names, so after a
     residual that vanishes identically (0 = 0) no symbol is left to drop
     or solve for.
     """
+    drop = symbols(drop)
+    if conclude_for is not None:
+        (conclude_for,) = symbols([conclude_for])
     eq = combine_premises(premises)
     form = expand(eq.homogeneous())
     named = form.symbols
     where = eq  # a residual is named by its symbols: its text grows with 2**n
-    for d in symbols(drop):
+    for d in drop:
         if d not in named:
             raise SymbolNotPresent(f"symbol {d} does not occur in {where}")
         form = _eliminated(form, d)
@@ -289,7 +292,5 @@ def syllogism(premises, drop=(), conclude_for: Symbol | None = None):
         where = f"the residual over {[s.name for s in named]}" if named else residual
     if conclude_for is None:
         return EliminationResult(form)
-    if isinstance(conclude_for, str):
-        conclude_for = Symbol(conclude_for)
     _check_unknown(conclude_for, named, where)
     return _solved(form, conclude_for)

@@ -386,11 +386,11 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def enumerate_solutions(
-    eq: Equation, unknown: Symbol, assignment: SetAssignment
+    eq: Equation, unknown: Symbol | str, assignment: SetAssignment
 ) -> list[int]:
-    """All subsets w for which the equation holds, ascending bit order."""
-    if isinstance(unknown, str):
-        unknown = Symbol(unknown)
+    """All subsets w for which the equation holds, ascending bit order;
+    the unknown is a name or a Symbol."""
+    (unknown,) = symbols([unknown])
     m = assignment.universe.size
     repeat = sum(1 << w * m for w in range(1 << m))  # a column once per candidate
     columns = {s: mask * repeat for s, mask in assignment.subsets.items()}

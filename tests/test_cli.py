@@ -514,9 +514,32 @@ def test_solve_max_universe_cap(capsys):
         (["check", "x = x", "--symbols", ""], 2, "symbols ['x'] occur in"),
         (["solve", "x*w = 0", "--for", "w", "--symbols", ""], 2,
          "symbols ['x'] occur in"),
+        # refused on solve without --verify too, where the bound goes unused
+        (["solve", "x*w = y", "--for", "w", "--max-universe", "-1"], 1, "negative"),
+        (["solve", "x*w = y", "--for", "w", "--max-universe", "99"], 2, "cap of 8"),
     ],
 )
 def test_max_universe_out_of_range_is_refused(capsys, argv, exit_code, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "9"], 2,
+         "cap of 8"),
+        (["check", "x = 1", "--max-universe", "-1"], 1, "negative"),
+    ],
+)
+def test_max_universe_is_refused_before_parsing(
+    capsys, monkeypatch, argv, exit_code, message
+):
+    def parse(text):
+        raise AssertionError("parsed before the bound was checked")
+
+    monkeypatch.setattr(cli, "parse_equation", parse)
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (exit_code, "")
     assert message in err

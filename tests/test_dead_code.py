@@ -4,8 +4,8 @@ syntax trees.
 Every imported name is used by the module that imports it, every
 module-level private name is used somewhere in the package, every error
 type is constructed outside errors.py, the package's __init__ imports
-exactly what its __all__ exports, and no function calls itself, directly
-or through others.
+exactly what its __all__ exports, no module but expr tells a name from a
+Symbol, and no function calls itself, directly or through others.
 """
 
 from __future__ import annotations
@@ -104,6 +104,20 @@ def test_every_error_type_is_raised_in_the_package():
     }
     unraised = sorted(defined - {"ElectiveError"} - constructed)
     assert not unraised, f"errors.py defines {unraised} and nothing raises them"
+
+
+def test_only_expr_reads_a_name_as_a_symbol():
+    # every other module reads a symbol argument through expr.symbols
+    readers = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and "str" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    }
+    assert readers <= {"expr"}, f"{sorted(readers - {'expr'})} test for str"
 
 
 def _call_graph() -> dict[str, set[str]]:

@@ -1,5 +1,7 @@
 """Expression tree basics: symbols, rendering, equality."""
 
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from elective import (
     parse_expression,
     symbols,
 )
+from helpers import random_expr
 
 x, y, z = symbols("x y z")
 
@@ -162,3 +165,64 @@ def test_constants_and_complements_hash_by_structure():
         for _ in range(2)
     ]
     assert mixed[0] is not mixed[1] and {mixed[0]: 1}[mixed[1]] == 1
+
+
+_FLIP = {Add: Sub, Sub: Add, Mul: Quot, Quot: Mul}
+_LEAVES = (Const(Fraction(1, 2)), Const(Fraction(2, 4)), Sym(x))
+
+
+def _near_miss(rng, e):
+    """e with one node changed: Add and Sub or Mul and Quot exchanged, the
+    operands swapped, one more complement, or a leaf 1/2, 2/4 or x put in
+    its place.  Some of these leave the tree as it was."""
+    kind = type(e)
+    if kind is Compl and rng.random() < 0.7:
+        return Compl(_near_miss(rng, e.operand))
+    if kind in _FLIP and rng.random() < 0.7:
+        if rng.random() < 0.5:
+            return kind(_near_miss(rng, e.left), e.right)
+        return kind(e.left, _near_miss(rng, e.right))
+    change = rng.choice(["flip", "swap", "prime", "leaf"])
+    if change == "flip" and kind in _FLIP:
+        return _FLIP[kind](e.left, e.right)
+    if change == "swap" and kind in _FLIP:
+        return kind(e.right, e.left)
+    if change == "prime":
+        return Compl(e)
+    return rng.choice(_LEAVES)
+
+
+def test_equality_is_structural_on_near_misses():
+    # two trees are equal exactly when their field listings are, and equal
+    # trees hash equal
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(2000):
+        a = random_expr(rng, (x, y, z), depth=5, allow_quot=True, fractional=True)
+        b = _near_miss(rng, a)
+        equal = a == b
+        assert equal == (repr(a) == repr(b)) == (b == a), (a, b)
+        assert not equal or hash(a) == hash(b), (a, b)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
+
+
+def _nested(depth, leaf, left):
+    out = leaf
+    for i in range(depth):
+        kind = (Add, Sub, Mul, Quot)[i % 4]
+        out = kind(out, Sym(y)) if left else kind(Sym(y), out)
+    return out
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_deep_trees_built_apart_compare_and_hash_equal(left):
+    a, b = _nested(5000, Sym(x), left), _nested(5000, Sym(x), left)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _nested(5000, Sym(z), left)
+    assert a != _nested(5000, Const(Fraction(1, 2)), left)
+
+
+def test_binary_nodes_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        Add(Sym(x), Sym(y)).left = Sym(z)

@@ -4,6 +4,7 @@ Every call that takes an ordered symbol list reads it the same way: a
 comma- or space-separated string, or an iterable of names and Symbols.
 A string is never split into letters.  Omitted, a basis is the input's
 own symbols in first-occurrence order; an empty list is the empty basis.
+An argument that names one symbol takes a name or a Symbol.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from elective import (
     LinearForm,
     SetAssignment,
     Symbol,
+    Universe,
     analyze,
     check_equation,
     constituents,
+    eliminate,
+    enumerate_solutions,
     expand,
     free_symbols,
+    inference,
     parse_equation,
     parse_expression,
     solve_for,
@@ -86,3 +91,31 @@ def test_expand_defaults_to_the_expressions_own_symbols():
     assert expand(parse_expression("y*x")).symbols == (y, x)
     assert expand(parse_expression("2")).symbols == ()
 
+
+EQ = parse_equation("x*w = y")
+ONE_SYMBOL = {
+    "eliminate": lambda w: eliminate(EQ, w),
+    "solve_for": lambda w: solve_for(EQ, w),
+    "syllogism": lambda w: syllogism(
+        [parse_equation("x*y' = 0"), parse_equation("y*w' = 0")], "y", conclude_for=w
+    ),
+    "enumerate_solutions": lambda w: enumerate_solutions(
+        EQ, w, SetAssignment(Universe(2), {x: 0b11, y: 0b01})
+    ),
+}
+
+
+@pytest.mark.parametrize("operation", ONE_SYMBOL.values(), ids=ONE_SYMBOL.keys())
+def test_one_symbol_is_a_name_or_a_symbol(operation):
+    result = operation("w")
+    assert result and result == operation(Symbol("w"))
+
+
+@pytest.mark.parametrize("drop, conclude_for", [("y", ""), ("Y", None)])
+def test_syllogism_reads_its_symbols_before_developing(monkeypatch, drop, conclude_for):
+    def develop(*args):
+        raise AssertionError("developed before the symbols were read")
+
+    monkeypatch.setattr(inference, "expand", develop)
+    with pytest.raises(ValueError, match="invalid symbol name"):
+        syllogism(PREMISES, drop, conclude_for)
