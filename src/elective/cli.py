@@ -120,13 +120,21 @@ def cmd_solve(args) -> OutputDocument:
             "counterexample": (
                 str(report.counterexample) if report.counterexample else None
             ),
+            "evaluated": list(report.evaluated),
+            "skipped": list(report.skipped),
         }
         return OutputDocument(payload, exit_code)
     lines = [sol.describe()]
     if report and report.ok:
-        lines.append(
-            f"verified sound and complete on universes 1..{args.max_universe}"
-        )
+        line = f"verified sound and complete on universes 1..{args.max_universe}"
+        # the sizes where every model breaks a side condition: all from 2 on
+        vacuous = [m for m, n in enumerate(report.evaluated, 1) if not n]
+        if vacuous:
+            line += (
+                f" (no model of size {vacuous[0]}..{vacuous[-1]} satisfies "
+                "the side conditions)"
+            )
+        lines.append(line)
     elif report:
         lines.append(f"verification FAILED: {report.counterexample}")
     return OutputDocument(lines, exit_code)
@@ -374,6 +382,12 @@ def main(argv=None) -> int:
         # looked up per call, not kept in the shared parser, so that a
         # wrapper installed on the module later (a tracer) is the one called
         doc = globals()[f"cmd_{args.command}"](args)
+        # written here, so that an error raised while the output is made
+        # (an int too long for text) is reported like any other
+        if args.json:
+            print(json.dumps(doc.body, indent=2))
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in doc.body)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
@@ -383,10 +397,6 @@ def main(argv=None) -> int:
     except ElectiveError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(doc.body, indent=2))
-    else:
-        sys.stdout.writelines(f"{line}\n" for line in doc.body)
     return doc.exit_code
 
 

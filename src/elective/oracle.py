@@ -14,11 +14,19 @@ its numerator as two's-complement bit planes, with bounds taken from the
 tree, over one static denominator, so fractions stay exact.  The sides
 differ where the planes of their difference have a bit set.  A point is
 one element of one model; a pass takes whole models while their points
-fit in _BLOCK.  verify_solved lays out each kept model once at m * 2**m
-points, one per element of each candidate class of the unknown; it keeps
-the models where every side condition holds, and every one-element model.
-check_equation lays out each orbit's m elements.  holds is a pass at m
-points and eval_numeric a pass at one.
+fit in _BLOCK.  check_equation lays out each orbit's m elements.  holds
+is a pass at m points and eval_numeric a pass at one.
+
+verify_solved lays out each kept model at m * 2**m points, its elements
+once for each candidate class of the unknown, and decides the whole pass
+with a few operations on its ints (broadword, as in Knuth, TAOCP 4A,
+7.1.3).  Each element's type carries the solution's reading of it, so
+one more pair of columns says where an element misfits a candidate:
+included but not in it, excluded but in it, or a side condition.  An OR
+over each candidate's m points, by shifts, gives the candidates that are
+rejected (the sides differ somewhere) and those not assembled (something
+misfits), as bits at the candidates' first points.  Only for a failure
+bit is the model that holds it looked up, to report it.
 
 Whether an equation holds in a model depends only on how many elements
 each constituent holds, not on which ones.  So the exhaustive checks
@@ -44,10 +52,12 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -64,9 +74,11 @@ MAX_UNIVERSE = 8
 # tree nodes; a plan above it is refused before anything runs.  Measured on
 # a 2-vCPU x86-64 host, a node evaluation at the universe cap takes 0.005 to
 # 0.04 us on complement-heavy, wide-value ((x + y + 3)**8) and fractional
-# trees.  The slowest rate, about 0.2 us, is verify_solved over many one- or
-# two-element models of 8 to 16 free symbols, where the per-model
-# bookkeeping dominates: about five seconds at this budget.
+# trees, and about 0.02 us in verify_solved.  The slowest rate, 0.06 to
+# 0.1 us, is verify_solved over the one-element models of 16 to 19 free
+# symbols, where the per-model work of splitting them into passes
+# dominates: up to about two and a half seconds at this budget (0.03 us
+# over the one- and two-element models of 8 to 10 free symbols).
 MAX_ORACLE_WORK = 25_000_000
 
 # Points that one pass of the evaluator covers: a pass takes whole models
@@ -251,11 +263,12 @@ def _blocks(models: Iterable, points: Callable) -> Iterator[list]:
     block: list = []
     total = 0
     for model in models:
-        if block and total + points(model) > _BLOCK:
+        size = points(model)
+        if block and total + size > _BLOCK:
             yield block
             block, total = [], 0
         block.append(model)
-        total += points(model)
+        total += size
     if block:
         yield block
 
@@ -264,25 +277,22 @@ def _blocks(models: Iterable, points: Callable) -> Iterator[list]:
 _BIT_TEXT = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
 
 
-def _columns(syms: tuple[Symbol, ...], types: Iterable[int]) -> dict[Symbol, int]:
-    """Each symbol's column over points of the given element types; bit i
-    of a type puts its element in syms[i].  A type fits in 64 bits: a plan
-    over more symbols is refused on any universe with points."""
-    packed = array("Q", types)  # 8 bytes a point, read little-endian
+def _packed(types: Iterable[int]) -> bytes:
+    """The types, 8 little-endian bytes each.  A type fits in 64 bits: a
+    plan over more symbols is refused on any universe with points."""
+    packed = array("Q", types)
     if sys.byteorder == "big":
         packed.byteswap()
-    points = packed.tobytes()
-    return {
-        s: int(points[i >> 3 :: 8].translate(_BIT_TEXT[i & 7])[::-1] or b"0", 2)
-        for i, s in enumerate(syms)
-    }
+    return packed.tobytes()
 
 
-def _classes(mask: int) -> int:
-    """The subsets of mask, as a bitmask with bit s set for each subset s:
-    the product of 1 + 2**(2**b) over the bits b of mask."""
-    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-    return reduce(operator.mul, [1 + (1 << (1 << b)) for b in bits], 1)
+def _columns(n: int, points: bytes) -> list[int]:
+    """Bits 0..n-1 of the packed types of the points, as n columns: bit p
+    of column i is bit i of the p-th type."""
+    return [
+        int(points[i >> 3 :: 8].translate(_BIT_TEXT[i & 7])[::-1] or b"0", 2)
+        for i in range(n)
+    ]
 
 
 @cache
@@ -292,26 +302,59 @@ def _candidates(m: int) -> str:
     return "".join(f"{w:0{m}b}" for w in reversed(range(1 << m)))[: m << m]
 
 
-def _rejected(sides: tuple, unknown: Symbol, sizes: list[int], columns: dict) -> list:
-    """Each model's candidate classes that fail the equation, as a bitmask
-    with bit w set for a failing w, from one pass.
+def _candidate_differ(sides: tuple, unknown: Symbol, runs, columns: dict) -> int:
+    """The points of one pass where the sides differ, as a bitmask.
 
-    sizes holds each model's m.  Each model's m * 2**m points follow the
-    last model's, with point (w, e) at w*m + e among them: element e with
-    candidate w for the unknown, whose column is added to columns, the
-    other symbols keeping their columns at every w.
+    runs holds (m, n) for each run of n consecutive m-element models.
+    Each model's m * 2**m points follow the last model's, with point
+    (c, e) at c*m + e among them: element e with candidate c for the
+    unknown, whose column is added to columns, the other symbols keeping
+    their columns at every c.
     """
-    text = "".join(_candidates(m) for m in reversed(sizes))
+    text = "".join(_candidates(m) * n for m, n in reversed(runs))
     columns[unknown] = int(text or "0", 2)
-    width = len(text)
-    differ = f"{_differ(sides, width, columns):0{width}b}"[::-1]
-    out, start = [], 0
-    for m in sizes:
-        mine = differ[start : start + (m << m)]
-        rows = [int(mine[e::m][::-1], 2) for e in range(m)]  # element e, each w
-        out.append(reduce(operator.or_, rows, 0))
-        start += m << m
-    return out
+    return _differ(sides, len(text), columns)
+
+
+def _fold(points: int, m: int) -> int:
+    """points with bit p set where any of bits p..p+m-1 is: at the first
+    point of each candidate of an m-element model, the OR of its m."""
+    span = 1
+    while span < m:
+        step = min(span, m - span)
+        points |= points >> step
+        span += step
+    return points
+
+
+def _laid_out(block: list) -> bytes:
+    """The packed types of one pass's points: each model's elements once
+    for each of its candidate classes, the models one after another."""
+    lengths = list(map(len, block))
+    flat = _packed(chain.from_iterable(block))
+    return b"".join(
+        flat[s << 3 : (s + m) << 3] * (1 << m)
+        for s, m in zip(accumulate(lengths, initial=0), lengths)
+    )
+
+
+def _failures(differ: int, misfit: int, runs) -> tuple[int, int]:
+    """The sound and the complete failures of one pass, each a bit at the
+    first point of a failing candidate.
+
+    A candidate is rejected when the sides differ at one of its points,
+    and assembled when no element misfits it.  A sound failure is both; a
+    complete failure is neither.  runs are as _candidate_differ takes.
+    """
+    sound = complete = start = 0
+    for m, n in runs:
+        starts = ((1 << (n * m << m)) - 1) // ((1 << m) - 1) << start
+        assembled = starts & ~_fold(misfit, m)
+        rejected = starts & _fold(differ, m)
+        sound |= assembled & rejected
+        complete |= starts ^ (assembled | rejected)
+        start += n * m << m
+    return sound, complete
 
 
 def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
@@ -350,9 +393,8 @@ def _plan(
     smallest: int,
     max_universe: int,
     candidates: bool,
-) -> Iterator[tuple[int, ...]]:
-    """The orbits, on universes smallest..max_universe, of an exhaustive
-    check: one tuple of element types each, smaller universes first.
+) -> range:
+    """The universe sizes, smallest..max_universe, of an exhaustive check.
 
     Refuses up front, before any enumeration, when max_universe is out of
     range or when the planned work (orbits x candidate classes x nodes of
@@ -371,7 +413,7 @@ def _plan(
             f"{max_universe} needs {work:,} node evaluations, above the "
             f"budget of {MAX_ORACLE_WORK:,}"
         )
-    return chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
+    return sizes
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -394,8 +436,8 @@ def enumerate_solutions(
     m = assignment.universe.size
     repeat = sum(1 << w * m for w in range(1 << m))  # a column once per candidate
     columns = {s: mask * repeat for s, mask in assignment.subsets.items()}
-    (rejected,) = _rejected(_flatten(eq), unknown, [m], columns)
-    return [w for w in assignment.universe.subsets() if not rejected >> w & 1]
+    rejected = _fold(_candidate_differ(_flatten(eq), unknown, [(m, 1)], columns), m)
+    return [w for w in assignment.universe.subsets() if not rejected >> w * m & 1]
 
 
 @dataclass(frozen=True)
@@ -418,11 +460,27 @@ class Counterexample:
         )
 
 
+_NOTES = {
+    "sound": "assembled class does not satisfy the equation",
+    "complete": "solution not assembled by any v valuation",
+}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
+    """A verdict, and the models it was reached on.
+
+    evaluated[m - 1] counts the models of size m that were evaluated, and
+    skipped[m - 1] those left out because a side-condition constituent
+    has elements there; every one-element model is evaluated.  A check
+    that stops at its first failures of both kinds evaluates fewer.
+    """
+
     sound: bool
     complete: bool
     counterexample: Counterexample | None
+    evaluated: tuple[int, ...] = ()
+    skipped: tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -444,17 +502,21 @@ def verify_solved(
     Every grouped constituent must be over the free symbols, or the
     check is refused with SymbolListMismatch.
 
-    Each kept model is evaluated once, in a pass with its neighbours, and
-    its rejected candidates and its assembled classes are compared as
-    bitmasks over the 2**m classes.  sound: every assembled class is a
-    solution.  complete: every solution is assembled by some v valuation.
-    The first failure of either kind is reported, soundness before
-    completeness within a model; a sound witness is the first failing
-    class in the order of the v valuations.
+    Each kept model is evaluated once, in a pass with its neighbours,
+    and the whole pass is decided at once: a candidate class is assembled
+    when every element fits it, and rejected when the sides differ at
+    some element.  sound: every assembled class is a solution.  complete:
+    every solution is assembled by some v valuation.  The first failure
+    of either kind is reported, soundness before completeness within a
+    model, with the smallest failing class of that model as its witness.
+    (The equation is read element by element, so a failure shows first in
+    a one-element model, where that class is also the first failing one
+    in the order of the v valuations.)  The report counts the models
+    evaluated and skipped at each size.
     """
     sides = _flatten(eq)
     syms = sol.free_symbols
-    orbits = _plan(sides, syms, 1, max_universe, True)
+    sizes = _plan(sides, syms, 1, max_universe, True)
     extras = [s for s in eq.free_symbols() if s != sol.unknown and s not in syms]
     if extras:
         raise SymbolNotPresent(
@@ -468,49 +530,60 @@ def verify_solved(
                 f"constituent {c} is over {[s.name for s in c.symbols]}, not "
                 f"the solution's free symbols {[s.name for s in syms]}"
             )
-    included = {c.mask for c in sol.included}
-    order = {c.mask: j for j, c in enumerate(pieces)}  # the v-numbering
-    side = {c.mask for c in sol.side_conditions}
+    k = len(syms)
+    # Each type carries its reading in bits k and k + 1: 1 included, 2
+    # indeterminate, 3 side condition, 0 for every other type (excluded);
+    # in two groups, a side condition wins, then included.  One-element
+    # models take every type; larger ones only those that are not side
+    # conditions, so they keep exactly the models where every side
+    # condition is empty, in the same order.
+    reading = dict.fromkeys((c.mask for c in pieces), 2)
+    reading.update((c.mask, 1) for c in sol.included)
+    reading.update((c.mask, 3) for c in sol.side_conditions)
+    pool = [t | reading.get(t, 0) << k for t in range(1 << k)] if sizes else []
+    kept = [t for t in pool if t >> k != 3]
+    pools = {m: pool if m == 1 else kept for m in sizes}
+    orbits = chain.from_iterable(
+        combinations_with_replacement(pools[m], m) for m in sizes
+    )
+    evaluated = [0] * len(sizes)
     failures: dict[str, Counterexample] = {}
-
-    def fail(kind: str, types: tuple[int, ...], witness: int, note: str) -> None:
-        a = _assignment(syms, types)
-        failures[kind] = Counterexample(
-            kind, len(types), tuple(a.subsets.items()), sol.unknown, witness, note
-        )
-
-    kept = (t for t in orbits if len(t) == 1 or not side.intersection(t))
-    for block in _blocks(kept, lambda types: len(types) << len(types)):
+    for block in _blocks(orbits, lambda types: len(types) << len(types)):
+        runs = Counter(map(len, block)).items()  # ascending sizes
+        *columns, low, high = _columns(k + 2, _laid_out(block))
+        columns = dict(zip(syms, columns))
+        differ = _candidate_differ(sides, sol.unknown, runs, columns)
+        # an element misfits a candidate class that holds it if excluded,
+        # one that lacks it if included, and every class if a side condition
+        misfit = low ^ (columns[sol.unknown] & ~high)
+        for m, n in runs:
+            evaluated[m - 1] += n
+        bits = zip(_NOTES, _failures(differ, misfit, runs))
+        new = [(kind, b) for kind, b in bits if b and kind not in failures]
+        if new:  # each kind's first failure: its model, and the candidate there
+            starts = list(accumulate((len(t) << len(t) for t in block), initial=0))
+            firsts = []
+            for rank, (kind, b) in enumerate(new):
+                point = (b & -b).bit_length() - 1
+                j = bisect_right(starts, point) - 1
+                firsts.append((j, rank, kind, (point - starts[j]) // len(block[j])))
+            for j, _, kind, witness in sorted(firsts):  # soundness first in a model
+                a = _assignment(syms, block[j])
+                failures[kind] = Counterexample(
+                    kind, a.universe.size, tuple(a.subsets.items()), sol.unknown,
+                    witness, _NOTES[kind],
+                )
         if len(failures) == 2:
             break
-        sizes = [len(types) for types in block]
-        points = chain.from_iterable(t * (1 << len(t)) for t in block)
-        columns = _columns(syms, points)
-        for types, rejected in zip(block, _rejected(sides, sol.unknown, sizes, columns)):
-            # an element lies in the constituent whose mask is its type
-            base = sum(1 << e for e, t in enumerate(types) if t in included)
-            present = sorted(order.keys() & set(types), key=order.get)
-            free = [sum(1 << e for e, t in enumerate(types) if t == c) for c in present]
-            realized = _classes(reduce(operator.or_, free, 0) & ~base) << base
-            if side.intersection(types):
-                realized = 0  # no class is assembled where a side condition fails
-            if realized & rejected and "sound" not in failures:
-                valuations = product(*map(submasks, free))
-                assembled = (reduce(operator.or_, v, base) for v in valuations)
-                witness = next(w for w in assembled if rejected >> w & 1)
-                note = "assembled class does not satisfy the equation"
-                fail("sound", types, witness, note)
-            missed = ~rejected & ~realized & ((1 << (1 << len(types))) - 1)
-            if missed and "complete" not in failures:
-                witness = (missed & -missed).bit_length() - 1
-                note = "solution not assembled by any v valuation"
-                fail("complete", types, witness, note)
-            if len(failures) == 2:
-                break
+    skipped = [  # the orbits of every type, less those of the kept types
+        comb(m + len(pool) - 1, m) - comb(m + len(pools[m]) - 1, m) for m in sizes
+    ]
     return VerificationReport(
         "sound" not in failures,
         "complete" not in failures,
         next(iter(failures.values()), None),
+        tuple(evaluated),
+        tuple(skipped),
     )
 
 
@@ -524,10 +597,12 @@ def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment |
     the first failing model.
     """
     sides, syms = _flatten(eq), symbols(syms)
-    orbits = _plan(sides, syms, 0, max_universe, False)
+    sizes = _plan(sides, syms, 0, max_universe, False)
+    orbits = chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
     for block in _blocks(orbits, len):
-        points = list(chain.from_iterable(block))
-        differ = _differ(sides, len(points), _columns(syms, points))
+        points = _packed(chain.from_iterable(block))
+        columns = dict(zip(syms, _columns(len(syms), points)))
+        differ = _differ(sides, len(points) >> 3, columns)
         if differ:
             first = (differ & -differ).bit_length() - 1
             for types in block:

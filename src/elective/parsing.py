@@ -26,6 +26,7 @@ format_expr writes by.  Nothing recurses, so nesting has no depth limit.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ParseError
 from .expr import _BINARY, SYMBOL_PATTERN, Compl, Const, Equation, Expr, Sub, Sym
@@ -108,7 +109,13 @@ def _parse(text: str, ends: tuple[str, ...]) -> list[Expr]:
             if tok in _OPS:
                 continue
         if kind == "int":
-            operands.append(Const(int(tok)))
+            try:
+                value = int(tok)
+            except ValueError:  # longer than the interpreter reads as an int
+                limit = sys.get_int_max_str_digits()
+                expected = f"a number of at most {limit} digits"
+                raise ParseError(offset, expected, f"{len(tok)} digits") from None
+            operands.append(Const(value))
         elif kind == "sym":
             operands.append(Sym(Symbol(tok)))
         elif tok == "(":

@@ -225,38 +225,77 @@ def naive_verify(sol, eq: Equation, max_universe: int):
     kind = None
     for m in range(1, max_universe + 1):
         for a in assignments(Universe(m), sol.free_symbols):
-            if any(region(c, a) for c in sol.side_conditions):
-                # a one-element model is kept, and no class is assembled
-                if m == 1 and any(
-                    naive_holds(eq, a.with_symbol(sol.unknown, w))
-                    for w in a.universe.subsets()
-                ):
-                    complete = False
-                    kind = kind or "complete"
+            # a one-element model is kept where a side condition fails
+            if m > 1 and any(region(c, a) for c in sol.side_conditions):
                 continue
-            base = 0
-            for c in sol.included:
-                base |= region(c, a)
-            realized = set()
-            v_regions = [list(submasks(region(c, a))) for _, c in sol.indeterminate]
-            for choice in product(*v_regions):
-                w = base
-                for piece in choice:
-                    w |= piece
-                realized.add(w)
-                if sound and not naive_holds(eq, a.with_symbol(sol.unknown, w)):
-                    sound = False
-                    kind = kind or "sound"
-            if complete and any(
-                w not in realized
-                for w in a.universe.subsets()
-                if naive_holds(eq, a.with_symbol(sol.unknown, w))
-            ):
+            assembled, solutions = naive_classes(sol, eq, a)
+            if sound and any(w not in solutions for w in assembled):
+                sound = False
+                kind = kind or "sound"
+            if complete and any(w not in assembled for w in solutions):
                 complete = False
                 kind = kind or "complete"
             if not sound and not complete:
                 return sound, complete, kind
     return sound, complete, kind
+
+
+def naive_models(sol, m: int) -> list[SetAssignment]:
+    """One model of m elements per orbit, in the order the oracle visits
+    them: the model whose element types ascend, where bit i of a type puts
+    its element in the i-th free symbol, ordered by that tuple of types."""
+    syms = sol.free_symbols
+    models = []
+    for a in assignments(Universe(m), syms):
+        types = [
+            sum((a.subset(s) >> e & 1) << i for i, s in enumerate(syms))
+            for e in range(m)
+        ]
+        if types == sorted(types):
+            models.append((types, a))
+    return [a for _, a in sorted(models, key=lambda pair: pair[0])]
+
+
+def naive_classes(sol, eq: Equation, a: SetAssignment) -> tuple[list, list]:
+    """The classes the solution assembles in a model, in the order of the
+    v valuations, and the classes of the unknown that satisfy eq there."""
+    assembled = []
+    if not any(region(c, a) for c in sol.side_conditions):
+        base = 0
+        for c in sol.included:
+            base |= region(c, a)
+        pieces = [submasks(region(c, a)) for _, c in sol.indeterminate]
+        for choice in product(*pieces):
+            w = base
+            for piece in choice:
+                w |= piece
+            assembled.append(w)
+    solutions = [
+        w
+        for w in a.universe.subsets()
+        if naive_holds(eq, a.with_symbol(sol.unknown, w))
+    ]
+    return assembled, solutions
+
+
+def naive_counterexample(sol, eq: Equation, max_universe: int):
+    """(kind, universe size, subsets, witness) of the first failure that
+    verify_solved reports, or None, naively: models in the oracle's
+    order, a sound failure before a complete one within a model, a sound
+    witness the first failing class in the order of the v valuations and
+    a complete witness the smallest solution not assembled."""
+    for m in range(1, max_universe + 1):
+        for a in naive_models(sol, m):
+            if m > 1 and any(region(c, a) for c in sol.side_conditions):
+                continue
+            assembled, solutions = naive_classes(sol, eq, a)
+            for w in assembled:
+                if w not in solutions:
+                    return "sound", m, a.subsets, w
+            for w in solutions:
+                if w not in assembled:
+                    return "complete", m, a.subsets, w
+    return None
 
 
 def naive_first_failure(eq: Equation, syms: tuple[Symbol, ...], max_universe: int):

@@ -715,3 +715,58 @@ def test_failed_verification_is_reported_with_exit_3(capsys, monkeypatch):
     verification = json.loads(out)["verification"]
     assert code == 3 and verification["sound"] is False
     assert verification["counterexample"] == str(failure)
+
+
+@pytest.mark.parametrize(
+    "equation, unknown", [("x + x' + w = 0", "w"), ("2*x = 1", "x")]
+)
+def test_verification_says_which_sizes_had_no_model(capsys, equation, unknown):
+    # every constituent is a side condition: only one-element models are
+    # evaluated, so the verdict names the sizes it holds on vacuously
+    argv = ["solve", equation, "--for", unknown, "--verify"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "verified sound and complete on universes 1..4 (no model of size "
+        "2..4 satisfies the side conditions)"
+    )
+    code, out, _ = invoke(capsys, *argv, "--json")
+    verification = json.loads(out)["verification"]
+    assert code == 0 and verification["evaluated"][1:] == [0, 0, 0]
+    assert verification["evaluated"][0] > 0 and verification["skipped"][0] == 0
+
+
+def test_verification_counts_the_models_of_each_size(capsys):
+    # x*w = y keeps the models without an element of type x'*y: C(m + 2, m)
+    # of the C(m + 3, m) orbits on two symbols; every one-element model
+    argv = ["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "3"]
+    code, out, _ = invoke(capsys, *argv, "--json")
+    verification = json.loads(out)["verification"]
+    assert code == 0
+    assert verification["evaluated"] == [4, 6, 10]
+    assert verification["skipped"] == [0, 4, 10]
+
+
+def test_a_literal_longer_than_the_int_limit_is_a_parse_error():
+    literal = "1" * 4301
+    proc = run_elective(
+        "expand", f"x + {literal}*y", capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "parse error: at offset 4: expected a number of at most 4300 digits, "
+        "found 4301 digits\n"
+    )
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_too_long_for_text_ends_in_an_error(json_flag):
+    # a coefficient of 5 000 digits develops, but the interpreter refuses to
+    # write it: the run ends in the error, not a traceback
+    product = "*".join(["99999"] * 1000)
+    proc = run_elective(
+        "expand", f"{product}*x", *json_flag, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

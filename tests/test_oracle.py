@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ from elective import (
     SetAssignment,
     Sub,
     Sym,
+    Symbol,
     SymbolListMismatch,
     SymbolNotPresent,
     Universe,
@@ -42,7 +44,10 @@ from helpers import (
     XYZW,
     assignments,
     naive_first_failure,
+    naive_classes,
+    naive_counterexample,
     naive_holds,
+    naive_models,
     naive_value,
     naive_verify,
     random_expr,
@@ -367,21 +372,122 @@ def _moved_to_excluded(rng, sol):
     )
 
 
-def test_verify_matches_naive_on_random_solved_classes():
+GROUPS = ("included", "indeterminate", "side_conditions", "excluded")
+
+
+def _members(sol, group):
+    if group == "indeterminate":
+        return [c for _, c in sol.indeterminate]
+    return sorted(getattr(sol, group), key=lambda c: c.mask)
+
+
+def _with_members(sol, group, members):
+    if group == "indeterminate":
+        members = sorted(members, key=lambda c: c.mask)
+        pieces = tuple((Symbol(f"v{j}"), c) for j, c in enumerate(members, 1))
+        return replace(sol, indeterminate=pieces)
+    return replace(sol, **{group: frozenset(members)})
+
+
+def _moved(rng, sol):
+    """sol with one constituent moved from one group to another, or, one
+    time in four, added to another group as well, and the two groups."""
+    source = rng.choice([g for g in GROUPS if _members(sol, g)])
+    target = rng.choice([g for g in GROUPS if g != source])
+    c = rng.choice(_members(sol, source))
+    if rng.random() < 0.75:
+        sol = _with_members(sol, source, [d for d in _members(sol, source) if d != c])
+    return _with_members(sol, target, _members(sol, target) + [c]), source, target
+
+
+def test_verify_matches_naive_on_random_solved_classes(monkeypatch):
+    # exact classes and classes with a constituent moved between any two
+    # groups, over 0 to 3 free symbols, with point budgets that split the
+    # passes between and inside models: the verdict and the first
+    # counterexample (its kind, size, model and witness) match the naive
+    # reference, and a check that ran to the end counts every orbit
+    from elective import oracle
+
     rng = random.Random(2024)
-    checked = {"exact": 0, "mutated": 0}
-    while sum(checked.values()) < 1000:
-        k = rng.choice((1, 2))
-        eq, sol = _random_solved(rng, (x, y)[:k])
-        m = 3 if k == 1 else 2
-        report = verify_solved(sol, eq, m)
-        assert report.ok and verdict(report) == naive_verify(sol, eq, m), str(eq)
-        checked["exact"] += 1
-        bad = _moved_to_excluded(rng, sol)
-        if bad is not None:
-            assert verdict(verify_solved(bad, eq, m)) == naive_verify(bad, eq, m)
-            checked["mutated"] += 1
-    assert min(checked.values()) > 300
+    checked = Counter()
+    for _ in range(1200):
+        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 7, 40, 300, 2**15)))
+        k = rng.randint(0, 3)
+        eq, sol = _random_solved(rng, (x, y, z)[:k])
+        m = (4, 3, 2, 2)[k]
+        shown, moved = sol, "exact"
+        if rng.random() < 0.7:
+            shown, *moved = _moved(rng, sol)
+            moved = tuple(moved)
+        report = verify_solved(shown, eq, m)
+        assert verdict(report) == naive_verify(shown, eq, m), str(eq)
+        assert report.ok or moved != "exact", str(eq)
+        found = report.counterexample
+        if found is not None:
+            model = dict(found.assignment)
+            found = found.kind, found.universe_size, model, found.witness
+        assert found == naive_counterexample(shown, eq, m), (str(eq), moved)
+        if report.ok:
+            for size in range(1, m + 1):
+                models = naive_models(shown, size)
+                kept = [
+                    a
+                    for a in models
+                    if size == 1 or not any(region(c, a) for c in shown.side_conditions)
+                ]
+                counts = report.evaluated[size - 1], report.skipped[size - 1]
+                assert counts == (len(kept), len(models) - len(kept)), str(eq)
+        checked[moved] += 1
+        checked["failing"] += not report.ok
+    assert len(checked) == 14 and min(checked.values()) > 20, checked
+
+
+def test_each_pass_decides_every_candidate_of_its_models(monkeypatch):
+    # the failures a pass reports, one bit at the first point of each
+    # candidate, are those of the naive reference for every model the pass
+    # lays out, whatever its size: a candidate assembled and rejected is a
+    # sound failure, one neither assembled nor satisfying a complete one
+    from elective import oracle
+
+    blocks, decided = [], []
+    laid_out, failures = oracle._laid_out, oracle._failures
+
+    def recorded_layout(block):
+        blocks.append(block)
+        return laid_out(block)
+
+    def recorded_failures(differ, misfit, runs):
+        decided.append(failures(differ, misfit, runs))
+        return decided[-1]
+
+    monkeypatch.setattr(oracle, "_laid_out", recorded_layout)
+    monkeypatch.setattr(oracle, "_failures", recorded_failures)
+    rng = random.Random(1854)
+    larger = 0
+    for _ in range(150):
+        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 40, 300, 2**15)))
+        k = rng.randint(0, 3)
+        eq, sol = _random_solved(rng, (x, y, z)[:k])
+        shown = _moved(rng, sol)[0] if rng.random() < 0.7 else sol
+        blocks.clear()
+        decided.clear()
+        verify_solved(shown, eq, (4, 3, 2, 2)[k])
+        for block, (sound, complete) in zip(blocks, decided, strict=True):
+            expected, start = [0, 0], 0
+            for types in block:
+                m = len(types)
+                a = _assignment(shown.free_symbols, types)
+                assembled, solutions = naive_classes(shown, eq, a)
+                failing = [
+                    [c for c in range(2**m) if c in assembled and c not in solutions],
+                    [c for c in range(2**m) if c in solutions and c not in assembled],
+                ]
+                for kind, candidates in enumerate(failing):
+                    expected[kind] |= sum(1 << start + c * m for c in candidates)
+                larger += m > 1 and any(failing)
+                start += m * 2**m
+            assert [sound, complete] == expected, (str(eq), str(shown))
+    assert larger > 100, larger
 
 
 def test_check_equation_matches_naive():

@@ -108,6 +108,16 @@ def test_parse_expression_trailing_garbage():
     assert info.value.offset == 2
 
 
+def test_literal_longer_than_the_int_limit_is_refused_at_its_offset():
+    # the interpreter reads at most 4 300 digits as an int; one more is a
+    # parse error at the literal, and a literal at the limit still parses
+    with pytest.raises(ParseError) as info:
+        parse_equation("x = y + " + "7" * 4301)
+    assert (info.value.offset, info.value.found) == (8, "4301 digits")
+    assert info.value.expected == "a number of at most 4300 digits"
+    assert parse_expression("9" * 4300) == Const(int("9" * 4300))
+
+
 def test_parse_bad_character_offset():
     with pytest.raises(ParseError) as info:
         parse_expression("x + Q")
