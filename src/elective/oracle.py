@@ -12,35 +12,25 @@ into post-order, and each node holds its values at a whole row of points
 at once, bit-sliced: a symbol's column is one int, and a node's value is
 its numerator as two's-complement bit planes, with bounds taken from the
 tree, over one static denominator, so fractions stay exact.  The sides
-differ where the planes of their difference have a bit set.  A point is
-one element of one model; a pass takes whole models while their points
-fit in _BLOCK.  check_equation lays out each orbit's m elements.  holds
-is a pass at m points and eval_numeric a pass at one.
+differ where the planes of their difference have a bit set.  holds is a
+pass at a model's m elements and eval_numeric a pass at one.
 
-verify_solved lays out each kept model at m * 2**m points, its elements
-once for each candidate class of the unknown, and decides the whole pass
-with a few operations on its ints (broadword, as in Knuth, TAOCP 4A,
-7.1.3).  Each element's type carries the solution's reading of it, so
-one more pair of columns says where an element misfits a candidate:
-included but not in it, excluded but in it, or a side condition.  An OR
-over each candidate's m points, by shifts, gives the candidates that are
-rejected (the sides differ somewhere) and those not assembled (something
-misfits), as bits at the candidates' first points.  Only for a failure
-bit is the model that holds it looked up, to report it.
-
-Whether an equation holds in a model depends only on how many elements
-each constituent holds, not on which ones.  So the exhaustive checks
-visit one model per orbit of the universe's permutations, C(m + 2**k - 1,
-m) of them for k symbols instead of 2**(m*k): an ascending tuple of m
-element types, where bit i of a type puts its element in the i-th
-symbol.  Such tuples are the only model representation from the plan
-to the evaluator.  Columns are read off the types, and an element lies
-in the constituent whose mask equals its type, which is the set meaning
-of a constituent.  A SetAssignment (subsets as bitmasks) is built only
-for a model that is reported.  Before enumerating, a check counts its
-work (orbits x candidate classes x tree nodes) and refuses with
-UniverseLimitExceeded above MAX_ORACLE_WORK.  That count bounds the
-work run: every candidate class is evaluated at every element, once.
+Boole's elective symbols act on each element separately: the value of a
+tree at an element depends only on the element's type, where bit i of a
+type puts the element in the i-th symbol.  So an equation holds in a
+model exactly when it holds in the one-element model of each of its
+elements' types, and the exhaustive checks decide every universe of 1 to
+max_universe elements with one pass over the 2**k types of k symbols,
+at most _BLOCK points wide at a time; the symbols' columns are read off
+the points' types.  verify_solved takes each type twice, once for each
+value of the unknown, with the solution's reading of the type packed
+beside it, so a few operations on the pass's ints (broadword, as in
+Knuth, TAOCP 4A, 7.1.3) give the candidates that are rejected and those
+not assembled.  A SetAssignment (subsets as bitmasks) is built only for
+a model that is reported.  Before evaluating, a check counts its work
+(points x tree nodes) and refuses with UniverseLimitExceeded above
+MAX_ORACLE_WORK; that count is exactly the work run, short of a stop at
+a failure.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -52,14 +42,12 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate, chain, combinations_with_replacement
+from itertools import chain
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import QuotientInOracle, SymbolListMismatch, SymbolNotPresent
 from .errors import UniverseLimitExceeded
@@ -69,20 +57,17 @@ from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
 
-# Node evaluations, summed over universe sizes, that one exhaustive check
-# may plan: orbits x candidate classes (2**m for an unknown, 1 without) x
-# tree nodes; a plan above it is refused before anything runs.  Measured on
-# a 2-vCPU x86-64 host, a node evaluation at the universe cap takes 0.005 to
-# 0.04 us on complement-heavy, wide-value ((x + y + 3)**8) and fractional
-# trees, and about 0.02 us in verify_solved.  The slowest rate, 0.06 to
-# 0.1 us, is verify_solved over the one-element models of 16 to 19 free
-# symbols, where the per-model work of splitting them into passes
-# dominates: up to about two and a half seconds at this budget (0.03 us
-# over the one- and two-element models of 8 to 10 free symbols).
+# Node evaluations that one exhaustive check may plan: points (2**k types,
+# twice over for an unknown) x tree nodes; a plan above it is refused
+# before anything runs.  Measured on a 2-vCPU x86-64 host, a node evaluation
+# takes 0.002 to 0.01 us in passes thousands of points wide: verify_solved
+# over 18 free symbols runs 24 million in 0.2 s.  A narrow pass costs about
+# 1.5 to 2.5 us per node whatever its width, so a plan over one or two
+# symbols admits trees of millions of nodes, which take about as long again
+# to parse.
 MAX_ORACLE_WORK = 25_000_000
 
-# Points that one pass of the evaluator covers: a pass takes whole models
-# in order while their points fit, and at least one.
+# Points that one pass of the evaluator covers, at most.
 _BLOCK = 1 << 15
 
 
@@ -257,22 +242,6 @@ def _differ(sides: tuple, width: int, columns: Mapping[Symbol, int]) -> int:
     return reduce(operator.or_, _linear(Sub, lhs, rhs, (1 << width) - 1)[0], 0)
 
 
-def _blocks(models: Iterable, points: Callable) -> Iterator[list]:
-    """Runs of consecutive models whose points fit in _BLOCK; a model
-    larger than that is a run of its own."""
-    block: list = []
-    total = 0
-    for model in models:
-        size = points(model)
-        if block and total + size > _BLOCK:
-            yield block
-            block, total = [], 0
-        block.append(model)
-        total += size
-    if block:
-        yield block
-
-
 # For each bit b of a byte, the text "0" or "1" of that bit of every byte.
 _BIT_TEXT = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
 
@@ -297,23 +266,10 @@ def _columns(n: int, points: bytes) -> list[int]:
 
 @cache
 def _candidates(m: int) -> str:
-    """The unknown's column over an m-element model's 2**m candidate
-    classes, as binary text: point (w, e) at w*m + e holds bit e of w."""
+    """enumerate_solutions' column of the unknown over an m-element
+    model's 2**m candidate classes, as binary text: point (w, e) at
+    w*m + e holds bit e of w."""
     return "".join(f"{w:0{m}b}" for w in reversed(range(1 << m)))[: m << m]
-
-
-def _candidate_differ(sides: tuple, unknown: Symbol, runs, columns: dict) -> int:
-    """The points of one pass where the sides differ, as a bitmask.
-
-    runs holds (m, n) for each run of n consecutive m-element models.
-    Each model's m * 2**m points follow the last model's, with point
-    (c, e) at c*m + e among them: element e with candidate c for the
-    unknown, whose column is added to columns, the other symbols keeping
-    their columns at every c.
-    """
-    text = "".join(_candidates(m) * n for m, n in reversed(runs))
-    columns[unknown] = int(text or "0", 2)
-    return _differ(sides, len(text), columns)
 
 
 def _fold(points: int, m: int) -> int:
@@ -325,36 +281,6 @@ def _fold(points: int, m: int) -> int:
         points |= points >> step
         span += step
     return points
-
-
-def _laid_out(block: list) -> bytes:
-    """The packed types of one pass's points: each model's elements once
-    for each of its candidate classes, the models one after another."""
-    lengths = list(map(len, block))
-    flat = _packed(chain.from_iterable(block))
-    return b"".join(
-        flat[s << 3 : (s + m) << 3] * (1 << m)
-        for s, m in zip(accumulate(lengths, initial=0), lengths)
-    )
-
-
-def _failures(differ: int, misfit: int, runs) -> tuple[int, int]:
-    """The sound and the complete failures of one pass, each a bit at the
-    first point of a failing candidate.
-
-    A candidate is rejected when the sides differ at one of its points,
-    and assembled when no element misfits it.  A sound failure is both; a
-    complete failure is neither.  runs are as _candidate_differ takes.
-    """
-    sound = complete = start = 0
-    for m, n in runs:
-        starts = ((1 << (n * m << m)) - 1) // ((1 << m) - 1) << start
-        assembled = starts & ~_fold(misfit, m)
-        rejected = starts & _fold(differ, m)
-        sound |= assembled & rejected
-        complete |= starts ^ (assembled | rejected)
-        start += n * m << m
-    return sound, complete
 
 
 def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
@@ -372,59 +298,40 @@ def holds(eq: Equation, assignment: SetAssignment) -> bool:
     return not _differ(_flatten(eq), assignment.universe.size, assignment.subsets)
 
 
-def _assignment(syms: tuple[Symbol, ...], types: tuple[int, ...]) -> SetAssignment:
-    """The model giving element e the e-th type, as subsets."""
-    subsets = {
-        s: sum(1 << e for e, t in enumerate(types) if t >> i & 1)
-        for i, s in enumerate(syms)
-    }
-    return SetAssignment(Universe(len(types)), subsets)
-
-
-def _orbit_types(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """One multiset of m element types over k symbols per orbit, each
-    taken in ascending order."""
-    return combinations_with_replacement(range(1 << k), m)
+def _assignment(syms: tuple[Symbol, ...], t: int) -> SetAssignment:
+    """The one-element model whose element has type t: bit i of t puts it
+    in the i-th symbol."""
+    return SetAssignment(Universe(1), {s: t >> i & 1 for i, s in enumerate(syms)})
 
 
 def _plan(
     sides: tuple[tuple[Expr, ...], ...],
     syms: tuple[Symbol, ...],
-    smallest: int,
     max_universe: int,
-    candidates: bool,
-) -> range:
-    """The universe sizes, smallest..max_universe, of an exhaustive check.
+    candidates: int,
+) -> int:
+    """The points of an exhaustive check on universes up to max_universe:
+    each of the 2**k types of syms with each of `candidates` values of an
+    unknown, and none when max_universe is 0.
 
-    Refuses up front, before any enumeration, when max_universe is out of
-    range or when the planned work (orbits x candidate classes x nodes of
-    both sides) exceeds MAX_ORACLE_WORK.  With candidates, every model is
-    checked against all 2**m classes of an unknown.
+    Refuses up front, before any evaluation, when max_universe is out of
+    range or when the planned work (points x nodes of both sides) exceeds
+    MAX_ORACLE_WORK.
     """
-    sizes = range(smallest, Universe(max_universe).size + 1)
-    types = 1 << len(syms)
-    nodes = sum(map(len, sides))
-    work = nodes * sum(
-        comb(m + types - 1, m) * (1 << m if candidates else 1) for m in sizes
-    )
+    points = candidates << len(syms) if Universe(max_universe).size else 0
+    work = points * sum(map(len, sides))
     if work > MAX_ORACLE_WORK:
         raise UniverseLimitExceeded(
             f"exhaustive check over {len(syms)} symbols on universes up to "
             f"{max_universe} needs {work:,} node evaluations, above the "
             f"budget of {MAX_ORACLE_WORK:,}"
         )
-    return sizes
+    return points
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of a bitmask, ascending by value."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        # next subset in ascending order: increment within the mask
-        sub = (sub - mask) & mask
+def _passes(points: int) -> list[range]:
+    """The points 0..points-1 in ascending runs of at most _BLOCK."""
+    return [range(s, min(s + _BLOCK, points)) for s in range(0, points, _BLOCK)]
 
 
 def enumerate_solutions(
@@ -436,7 +343,8 @@ def enumerate_solutions(
     m = assignment.universe.size
     repeat = sum(1 << w * m for w in range(1 << m))  # a column once per candidate
     columns = {s: mask * repeat for s, mask in assignment.subsets.items()}
-    rejected = _fold(_candidate_differ(_flatten(eq), unknown, [(m, 1)], columns), m)
+    columns[unknown] = int(_candidates(m) or "0", 2)
+    rejected = _fold(_differ(_flatten(eq), m << m, columns), m)
     return [w for w in assignment.universe.subsets() if not rejected >> w * m & 1]
 
 
@@ -470,10 +378,10 @@ _NOTES = {
 class VerificationReport:
     """A verdict, and the models it was reached on.
 
-    evaluated[m - 1] counts the models of size m that were evaluated, and
-    skipped[m - 1] those left out because a side-condition constituent
-    has elements there; every one-element model is evaluated.  A check
-    that stops at its first failures of both kinds evaluates fewer.
+    evaluated[m - 1] counts the models of size m, one per orbit, that the
+    verdict covers, and skipped[m - 1] those left out because a
+    side-condition constituent has elements there; every one-element
+    model is covered.
     """
 
     sound: bool
@@ -493,30 +401,29 @@ def verify_solved(
     """Exhaustively check a solved class against its source equation.
 
     Quantifies over every universe of size 1..max_universe, every model
-    of the solution's free symbols (one per permutation orbit) in which
-    each side-condition constituent is empty, and every valuation of the
-    v-symbols (each ranging over subsets of its constituent's elements).
-    The one-element models whose element lies in a side-condition
-    constituent are checked too: the solution assembles no class there,
-    so it is complete only if every candidate class is rejected.
-    Every grouped constituent must be over the free symbols, or the
-    check is refused with SymbolListMismatch.
+    of the solution's free symbols in which each side-condition
+    constituent is empty, and every valuation of the v-symbols (each
+    ranging over subsets of its constituent's elements).  The one-element
+    models whose element lies in a side-condition constituent are checked
+    too: the solution assembles no class there, so it is complete only if
+    every candidate class is rejected.  Every grouped constituent must be
+    over the free symbols, or the check is refused with
+    SymbolListMismatch.
 
-    Each kept model is evaluated once, in a pass with its neighbours,
-    and the whole pass is decided at once: a candidate class is assembled
-    when every element fits it, and rejected when the sides differ at
-    some element.  sound: every assembled class is a solution.  complete:
-    every solution is assembled by some v valuation.  The first failure
-    of either kind is reported, soundness before completeness within a
-    model, with the smallest failing class of that model as its witness.
-    (The equation is read element by element, so a failure shows first in
-    a one-element model, where that class is also the first failing one
-    in the order of the v valuations.)  The report counts the models
-    evaluated and skipped at each size.
+    A class is assembled when every element fits it, and rejected when
+    the sides differ at some element; both are read element by element.
+    So a model has a class assembled but rejected, or satisfying but not
+    assembled, only if the one-element model of one of its elements' types
+    has one, and the one-element models, themselves in range, decide every
+    size: point 2t + c is type t with candidate c, each evaluated once.  sound: every
+    assembled class is a solution.  complete: every solution is
+    assembled.  The failure at the lowest type is reported, soundness
+    before completeness, with the smaller failing candidate as witness.
+    The report counts the models of each size that the verdict covers.
     """
     sides = _flatten(eq)
     syms = sol.free_symbols
-    sizes = _plan(sides, syms, 1, max_universe, True)
+    points = _plan(sides, syms, max_universe, 2)
     extras = [s for s in eq.free_symbols() if s != sol.unknown and s not in syms]
     if extras:
         raise SymbolNotPresent(
@@ -533,80 +440,62 @@ def verify_solved(
     k = len(syms)
     # Each type carries its reading in bits k and k + 1: 1 included, 2
     # indeterminate, 3 side condition, 0 for every other type (excluded);
-    # in two groups, a side condition wins, then included.  One-element
-    # models take every type; larger ones only those that are not side
-    # conditions, so they keep exactly the models where every side
-    # condition is empty, in the same order.
+    # in two groups, a side condition wins, then included.
     reading = dict.fromkeys((c.mask for c in pieces), 2)
     reading.update((c.mask, 1) for c in sol.included)
     reading.update((c.mask, 3) for c in sol.side_conditions)
-    pool = [t | reading.get(t, 0) << k for t in range(1 << k)] if sizes else []
-    kept = [t for t in pool if t >> k != 3]
-    pools = {m: pool if m == 1 else kept for m in sizes}
-    orbits = chain.from_iterable(
-        combinations_with_replacement(pools[m], m) for m in sizes
-    )
-    evaluated = [0] * len(sizes)
-    failures: dict[str, Counterexample] = {}
-    for block in _blocks(orbits, lambda types: len(types) << len(types)):
-        runs = Counter(map(len, block)).items()  # ascending sizes
-        *columns, low, high = _columns(k + 2, _laid_out(block))
+    first: dict[str, int] = {}  # each kind's lowest failing point
+    for run in _passes(points):
+        packed = _packed(p | reading.get(p >> 1, 0) << k + 1 for p in run)
+        unknown, *columns, low, high = _columns(k + 3, packed)
         columns = dict(zip(syms, columns))
-        differ = _candidate_differ(sides, sol.unknown, runs, columns)
-        # an element misfits a candidate class that holds it if excluded,
-        # one that lacks it if included, and every class if a side condition
-        misfit = low ^ (columns[sol.unknown] & ~high)
-        for m, n in runs:
-            evaluated[m - 1] += n
-        bits = zip(_NOTES, _failures(differ, misfit, runs))
-        new = [(kind, b) for kind, b in bits if b and kind not in failures]
-        if new:  # each kind's first failure: its model, and the candidate there
-            starts = list(accumulate((len(t) << len(t) for t in block), initial=0))
-            firsts = []
-            for rank, (kind, b) in enumerate(new):
-                point = (b & -b).bit_length() - 1
-                j = bisect_right(starts, point) - 1
-                firsts.append((j, rank, kind, (point - starts[j]) // len(block[j])))
-            for j, _, kind, witness in sorted(firsts):  # soundness first in a model
-                a = _assignment(syms, block[j])
-                failures[kind] = Counterexample(
-                    kind, a.universe.size, tuple(a.subsets.items()), sol.unknown,
-                    witness, _NOTES[kind],
-                )
-        if len(failures) == 2:
+        columns[sol.unknown] = unknown
+        differ = _differ(sides, len(run), columns)
+        # a candidate misfits an included element that it lacks, an
+        # excluded one that it holds, and every side-condition element
+        misfit = low ^ (unknown & ~high)
+        for kind, bits in zip(_NOTES, (differ & ~misfit, misfit & ~differ)):
+            if bits and kind not in first:
+                first[kind] = run.start + (bits & -bits).bit_length() - 1
+        if len(first) == 2:
             break
-    skipped = [  # the orbits of every type, less those of the kept types
-        comb(m + len(pool) - 1, m) - comb(m + len(pools[m]) - 1, m) for m in sizes
-    ]
+    counterexample = None
+    if first:
+        kind = min(first, key=lambda kind: (first[kind] >> 1, kind != "sound"))
+        a = _assignment(syms, first[kind] >> 1)
+        counterexample = Counterexample(
+            kind, 1, tuple(a.subsets.items()), sol.unknown, first[kind] & 1,
+            _NOTES[kind],
+        )
+    # the models of each size, one per orbit: every type on one element,
+    # the types that are not side conditions on more
+    types = 1 << k
+    kept = types - list(reading.values()).count(3)
+    sizes = range(1, max_universe + 1)
+    evaluated = [types if m == 1 else comb(m + kept - 1, m) for m in sizes]
     return VerificationReport(
-        "sound" not in failures,
-        "complete" not in failures,
-        next(iter(failures.values()), None),
+        "sound" not in first,
+        "complete" not in first,
+        counterexample,
         tuple(evaluated),
-        tuple(skipped),
+        tuple(comb(m + types - 1, m) - n for m, n in zip(sizes, evaluated)),
     )
 
 
 def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment | None:
     """The first model on universes 0..max_universe where eq fails, if any.
 
-    Models assign the symbols of syms, read as `symbols` reads them, one
-    per permutation orbit, smaller universes first.  A pass takes orbits
-    while their elements fit in _BLOCK points, each orbit's elements one
-    after another, so the lowest point where the sides differ lies in
-    the first failing model.
+    Models assign the symbols of syms, read as `symbols` reads them.  An
+    equation fails in a model exactly where it fails at one of its
+    elements, so the first failing model is the one-element model of the
+    lowest type where the sides differ, and none fails if no type does.
+    With max_universe 0 no type is evaluated, but one empty pass still
+    walks both trees, so a missing symbol or a quotient is refused alike.
     """
     sides, syms = _flatten(eq), symbols(syms)
-    sizes = _plan(sides, syms, 0, max_universe, False)
-    orbits = chain.from_iterable(_orbit_types(m, len(syms)) for m in sizes)
-    for block in _blocks(orbits, len):
-        points = _packed(chain.from_iterable(block))
-        columns = dict(zip(syms, _columns(len(syms), points)))
-        differ = _differ(sides, len(points) >> 3, columns)
+    for run in _passes(_plan(sides, syms, max_universe, 1)) or [range(0)]:
+        columns = dict(zip(syms, _columns(len(syms), _packed(run))))
+        differ = _differ(sides, len(run), columns)
         if differ:
-            first = (differ & -differ).bit_length() - 1
-            for types in block:
-                if first < len(types):
-                    return _assignment(syms, types)
-                first -= len(types)
+            return _assignment(syms, run.start + (differ & -differ).bit_length() - 1)
     return None

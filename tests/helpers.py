@@ -27,7 +27,6 @@ from elective import (
     Universe,
     constituents,
     eval_numeric,
-    submasks,
 )
 
 XYZW = tuple(Symbol(n) for n in "xyzw")
@@ -174,7 +173,7 @@ def naive_to_expr(form) -> Expr:
 
 # -- naive oracle: every assignment, one element at a time ------------------
 #
-# The reference the package's orbit oracle is cross-checked against: it
+# The reference the package's oracle is cross-checked against: it
 # enumerates all 2**(m*k) assignments and evaluates each side of an
 # equation separately at every element.
 
@@ -254,6 +253,17 @@ def naive_models(sol, m: int) -> list[SetAssignment]:
         if types == sorted(types):
             models.append((types, a))
     return [a for _, a in sorted(models, key=lambda pair: pair[0])]
+
+
+def submasks(mask: int):
+    """All subsets of a bitmask, ascending by value."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        # next subset in ascending order: increment within the mask
+        sub = (sub - mask) & mask
 
 
 def naive_classes(sol, eq: Equation, a: SetAssignment) -> tuple[list, list]:

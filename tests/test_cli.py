@@ -546,11 +546,13 @@ def test_max_universe_is_refused_before_parsing(
 
 
 def test_oracle_work_budget_refusal_names_the_count(capsys):
+    # nineteen free symbols: 2**20 points x 38 nodes, over the budget
+    text = "x*w = " + "*".join(f"s{i}" for i in range(1, 19))
     code, out, err = invoke(
-        capsys, "solve", "x*w = y*z*t", "--for", "w", "--verify", "--max-universe", "8"
+        capsys, "solve", text, "--for", "w", "--verify", "--max-universe", "8"
     )
     assert (code, out) == (2, "")
-    assert "1,211,105,280 node evaluations" in err
+    assert "39,845,888 node evaluations" in err
 
 
 def test_solve_verify_three_free_symbols_at_the_universe_cap(capsys):

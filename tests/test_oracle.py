@@ -36,10 +36,9 @@ from elective import (
     holds,
     parse_equation,
     solve_for,
-    submasks,
     verify_solved,
 )
-from elective.oracle import MAX_ORACLE_WORK, _assignment, _orbit_types
+from elective.oracle import MAX_ORACLE_WORK
 from helpers import (
     XYZW,
     assignments,
@@ -53,6 +52,7 @@ from helpers import (
     random_expr,
     random_interpretable_expr,
     region,
+    submasks,
 )
 
 x, y, z, w = XYZW
@@ -280,12 +280,29 @@ def test_max_universe_validated_before_enumeration():
         check_equation(parse_equation("x = 1"), (x,), 9)
 
 
+def _side_condition_on_all(k):
+    """w = w + x*y*... over the first k symbols, and its solution: the
+    constituent in every symbol is a side condition, the rest indeterminate."""
+    term = Const(1)
+    for s in XYZW[:k]:
+        term = Mul(term, Sym(s))
+    eq = Equation(W, Add(W, term))
+    return eq, solve_for(eq, w, XYZW[:k])
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_orbit_counts_are_multisets_of_types(k):
-    syms = XYZW[:k]
-    for m in range(9):
-        orbits = (_assignment(syms, types) for types in _orbit_types(m, k))
-        assert sum(1 for _ in orbits) == comb(m + 2**k - 1, m)
+    # a report counts one model per orbit of the universe's permutations, a
+    # multiset of element types: C(m + 2**k - 1, m) of them on m elements,
+    # of which those without the side-condition type are evaluated
+    eq, sol = _side_condition_on_all(k)
+    report = verify_solved(sol, eq, 8)
+    assert report.ok
+    kept = [2**k] + [comb(m + 2**k - 2, m) for m in range(2, 9)]
+    assert list(report.evaluated) == kept
+    assert [a + b for a, b in zip(report.evaluated, report.skipped)] == [
+        comb(m + 2**k - 1, m) for m in range(1, 9)
+    ]
 
 
 def _type_multiset(a, syms):
@@ -298,15 +315,22 @@ def _type_multiset(a, syms):
 
 @pytest.mark.parametrize("k, max_m", [(1, 4), (2, 4), (3, 2)])
 def test_orbits_take_one_assignment_per_permutation_class(k, max_m):
-    syms = XYZW[:k]
-    for m in range(max_m + 1):
-        orbits = [
-            _type_multiset(_assignment(syms, types), syms)
-            for types in _orbit_types(m, k)
+    # the counts agree with the permutation classes of every assignment,
+    # found naively; a class is skipped when a side condition has elements
+    eq, sol = _side_condition_on_all(k)
+    report = verify_solved(sol, eq, max_m)
+    for m in range(1, max_m + 1):
+        classes = {
+            _type_multiset(a, sol.free_symbols): a
+            for a in assignments(Universe(m), sol.free_symbols)
+        }
+        kept = [
+            a
+            for a in classes.values()
+            if m == 1 or not any(region(c, a) for c in sol.side_conditions)
         ]
-        naive = {_type_multiset(a, syms) for a in assignments(Universe(m), syms)}
-        assert len(set(orbits)) == len(orbits)
-        assert set(orbits) == naive
+        counts = report.evaluated[m - 1], report.skipped[m - 1]
+        assert counts == (len(kept), len(classes) - len(kept)), m
 
 
 def _corruptions(sol):
@@ -442,52 +466,57 @@ def test_verify_matches_naive_on_random_solved_classes(monkeypatch):
     assert len(checked) == 14 and min(checked.values()) > 20, checked
 
 
+@pytest.mark.parametrize("k, m, cases", [(1, 6, 24), (2, 5, 12)])
+def test_verify_matches_naive_past_the_random_universes(k, m, cases):
+    # the random comparison above stops at 4 elements for one free symbol
+    # and 3 for two; here every model up to 6 and 5 elements is enumerated
+    rng = random.Random(1815 + k)
+    checked = Counter()
+    for _ in range(cases):
+        eq, sol = _random_solved(rng, (x, y)[:k])
+        shown = _moved(rng, sol)[0] if rng.random() < 0.6 else sol
+        report = verify_solved(shown, eq, m)
+        assert verdict(report) == naive_verify(shown, eq, m), str(eq)
+        found = report.counterexample
+        if found is not None:
+            found = found.kind, found.universe_size, dict(found.assignment), found.witness
+        assert found == naive_counterexample(shown, eq, m), (str(eq), str(shown))
+        checked[report.ok] += 1
+    assert min(checked[True], checked[False]) >= 3, checked
+
+
 def test_each_pass_decides_every_candidate_of_its_models(monkeypatch):
-    # the failures a pass reports, one bit at the first point of each
-    # candidate, are those of the naive reference for every model the pass
-    # lays out, whatever its size: a candidate assembled and rejected is a
-    # sound failure, one neither assembled nor satisfying a complete one
+    # a verify pass evaluates one-element models, each point a type of the
+    # free symbols with a candidate for the unknown: the sides differ at a
+    # point exactly where the naive reference says they do in that model,
+    # and those models alone give the naive verdict over every size
     from elective import oracle
 
-    blocks, decided = [], []
-    laid_out, failures = oracle._laid_out, oracle._failures
+    decided = []
+    real = oracle._differ
 
-    def recorded_layout(block):
-        blocks.append(block)
-        return laid_out(block)
+    def recorded(sides, width, columns):
+        decided.append((width, dict(columns), real(sides, width, columns)))
+        return decided[-1][2]
 
-    def recorded_failures(differ, misfit, runs):
-        decided.append(failures(differ, misfit, runs))
-        return decided[-1]
-
-    monkeypatch.setattr(oracle, "_laid_out", recorded_layout)
-    monkeypatch.setattr(oracle, "_failures", recorded_failures)
+    monkeypatch.setattr(oracle, "_differ", recorded)
     rng = random.Random(1854)
-    larger = 0
+    failing = 0
     for _ in range(150):
-        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 40, 300, 2**15)))
+        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 7, 40, 2**15)))
         k = rng.randint(0, 3)
         eq, sol = _random_solved(rng, (x, y, z)[:k])
         shown = _moved(rng, sol)[0] if rng.random() < 0.7 else sol
-        blocks.clear()
         decided.clear()
-        verify_solved(shown, eq, (4, 3, 2, 2)[k])
-        for block, (sound, complete) in zip(blocks, decided, strict=True):
-            expected, start = [0, 0], 0
-            for types in block:
-                m = len(types)
-                a = _assignment(shown.free_symbols, types)
-                assembled, solutions = naive_classes(shown, eq, a)
-                failing = [
-                    [c for c in range(2**m) if c in assembled and c not in solutions],
-                    [c for c in range(2**m) if c in solutions and c not in assembled],
-                ]
-                for kind, candidates in enumerate(failing):
-                    expected[kind] |= sum(1 << start + c * m for c in candidates)
-                larger += m > 1 and any(failing)
-                start += m * 2**m
-            assert [sound, complete] == expected, (str(eq), str(shown))
-    assert larger > 100, larger
+        report = verify_solved(shown, eq, (4, 3, 2, 2)[k])
+        for width, columns, differ in decided:
+            for p in range(width):
+                bits = {s: column >> p & 1 for s, column in columns.items()}
+                a = SetAssignment(Universe(1), bits)
+                assert differ >> p & 1 == (not naive_holds(eq, a)), str(eq)
+        assert verdict(report) == naive_verify(shown, eq, 1), (str(eq), str(shown))
+        failing += not report.ok
+    assert failing > 50, failing
 
 
 def test_check_equation_matches_naive():
@@ -507,15 +536,19 @@ def test_check_equation_matches_naive():
                 assert model.universe.size == first and not naive_holds(eq, model)
 
 
-def test_work_above_the_budget_is_refused_up_front():
-    # four free symbols at the universe cap: 1 211 105 280 node evaluations
-    eq = parse_equation("x*w = y*z*t")
+def test_work_above_the_budget_is_refused_up_front(monkeypatch):
+    # nineteen free symbols: 2**20 points x 38 nodes; nineteen symbols
+    # without an unknown: 2**19 points x 74 nodes; refused before any pass
+    product_text = "*".join(f"s{i}" for i in range(1, 19))
+    eq = parse_equation(f"x*w = {product_text}")
     sol = solve_for(eq, w)
-    with pytest.raises(UniverseLimitExceeded, match="1,211,105,280"):
-        verify_solved(sol, eq, 8)
-    eq = parse_equation("a*b*c*d*e*f = f*e*d*c*b*a")
+    widths = _recorded_widths(monkeypatch)
+    with pytest.raises(UniverseLimitExceeded, match="39,845,888"):
+        verify_solved(sol, eq, 1)
+    eq = parse_equation(f"{product_text}*x = x*{product_text}")
     with pytest.raises(UniverseLimitExceeded, match=f"{MAX_ORACLE_WORK:,}"):
         check_equation(eq, eq.free_symbols(), 8)
+    assert widths == []
 
 
 def _recorded_widths(monkeypatch):
@@ -533,29 +566,15 @@ def _recorded_widths(monkeypatch):
     return widths
 
 
-def _recorded_passes(monkeypatch, unknown):
-    """Record each verify pass as (points, sizes of its models in order).
-
-    The unknown's column lays out each model's candidates: on m elements,
-    point (c, e) at c*m + e holds bit e of candidate c, so the model's
-    lowest set bit is point (1, 0), at m.
-    """
+def _recorded_passes(monkeypatch):
+    """Record every pass of the oracle's evaluator as (width, columns)."""
     from elective import oracle
 
     passes = []
     real = oracle._evaluate
 
     def recorded(programs, width, columns):
-        column, start, sizes = columns[unknown], 0, []
-        while start < width:
-            rest = column >> start
-            m = (rest & -rest).bit_length() - 1
-            laid = sum(c << c * m for c in range(2**m))
-            assert rest & (2 ** (m * 2**m) - 1) == laid
-            sizes.append(m)
-            start += m * 2**m
-        assert start == width
-        passes.append((width, sizes))
+        passes.append((width, dict(columns)))
         return real(programs, width, columns)
 
     monkeypatch.setattr(oracle, "_evaluate", recorded)
@@ -563,29 +582,28 @@ def _recorded_passes(monkeypatch, unknown):
 
 
 def test_verify_evaluates_each_candidate_once(monkeypatch):
-    # each kept model is laid out once, in orbit order, at m points for
-    # each of its 2**m candidates, and a pass takes whole models while
-    # they fit the point budget: every model of x*w = w*x is kept; x*w = y
-    # keeps all 4 one-element models and, from two elements on, the models
-    # without an element of its side-condition type x'*y, C(m + 2, m) of them
+    # point 2t + c is type t of the free symbols with candidate c for the
+    # unknown: every point once, in ascending order across passes of at
+    # most _BLOCK points, whatever the universe bound
     from elective import oracle
 
-    passes = _recorded_passes(monkeypatch, w)
-    cases = (("x*w = w*x", 2, 2), ("x*w = y", 4, 3))
-    for budget, (text, types, kept_types) in product((oracle._BLOCK, 1, 40), cases):
+    passes = _recorded_passes(monkeypatch)
+    cases = ("x*w = w*x", "x*w = y", "w*x*y*z = z*(1 - y)")
+    for budget, text in product((oracle._BLOCK, 1, 7, 40), cases):
         monkeypatch.setattr(oracle, "_BLOCK", budget)
         eq = parse_equation(text)
         sol = solve_for(eq, w)
-        for top in range(6):
+        bits = (w, *sol.free_symbols)
+        for top in range(1, 9, 3):
             passes.clear()
             assert verify_solved(sol, eq, top).ok
-            kept = [1] * types * (top > 0) + [
-                m for m in range(2, top + 1) for _ in range(comb(m + kept_types - 1, m))
+            laid = [
+                sum((columns[s] >> p & 1) << i for i, s in enumerate(bits))
+                for width, columns in passes
+                for p in range(width)
             ]
-            assert [m for _, sizes in passes for m in sizes] == kept
-            assert sum(points for points, _ in passes) == sum(m * 2**m for m in kept)
-            for points, sizes in passes:
-                assert len(sizes) == 1 or points <= oracle._BLOCK
+            assert laid == list(range(2 << len(sol.free_symbols))), (text, budget)
+            assert max(width for width, _ in passes) <= budget
 
 
 @pytest.mark.parametrize(
@@ -599,28 +617,26 @@ def test_verify_evaluates_each_candidate_once(monkeypatch):
     ],
 )
 def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
-    # a model of size m is 2**m candidates, each evaluated once over the
-    # tree's nodes: that is the work the plan counts for it, whatever the
-    # point budget of a pass
+    # the plan is 2**k types x 2 candidates x the tree's nodes, whatever
+    # the universe bound from 1 on and the point budget of a pass, and the
+    # work run is exactly that, short only where both kinds of failure are
+    # found before the last pass
     from elective import oracle
     from elective.expr import _postorder
 
     eq = parse_equation(text)
     nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
-    passes = _recorded_passes(monkeypatch, w)
+    widths = _recorded_widths(monkeypatch)
     sols = _corruptions(solve_for(eq, w, basis)).items()
-    for budget, (name, sol) in product((oracle._BLOCK, 30), sols):
+    for budget, (name, sol) in product((oracle._BLOCK, 3), sols):
         monkeypatch.setattr(oracle, "_BLOCK", budget)
-        types = 2 ** len(sol.free_symbols)
         for top in range(5):
-            passes.clear()
-            verify_solved(sol, eq, top)
-            planned = nodes * sum(
-                comb(m + types - 1, m) * 2**m for m in range(1, top + 1)
-            )
-            work = nodes * sum(2**m for _, sizes in passes for m in sizes)
+            widths.clear()
+            report = verify_solved(sol, eq, top)
+            planned = nodes * (2 << len(sol.free_symbols)) * (top > 0)
+            work = nodes * sum(widths)
             assert work <= planned, (name, top)
-            if name == "exact" and not sol.side_conditions:
+            if report.sound or report.complete:
                 assert work == planned, (name, top)
 
 
@@ -657,8 +673,8 @@ def test_verify_refuses_constituents_over_another_basis(monkeypatch, group, basi
 
 
 def test_only_a_reported_model_becomes_a_set_assignment(monkeypatch):
-    # models stay tuples of element types; one SetAssignment is built per
-    # counterexample reported, and none for a verification that passes
+    # one SetAssignment is built for the counterexample reported, whether
+    # one or both kinds fail, and none for a verification that passes
     from elective import oracle
 
     built = []
@@ -670,14 +686,17 @@ def test_only_a_reported_model_becomes_a_set_assignment(monkeypatch):
 
     monkeypatch.setattr(oracle, "_assignment", counted)
     cases = (("x*w = y", None), ("w*x' = y*w", None), ("x*w = z", (x, y, z)))
+    both = 0
     for text, basis in cases:
         eq = parse_equation(text)
         for name, sol in _corruptions(solve_for(eq, w, basis)).items():
             built.clear()
             report = verify_solved(sol, eq, 4)
-            assert len(built) == (not report.sound) + (not report.complete), name
+            assert len(built) == (not report.ok), name
+            both += not report.sound and not report.complete
             if name == "exact":
-                assert report.ok and built == []
+                assert report.ok
+    assert both > 0
     built.clear()
     assert check_equation(parse_equation("x*y = y*x"), (x, y), 5) is None
     assert built == []
@@ -714,18 +733,18 @@ def test_oracle_takes_only_data_types_from_algebra_and_inference():
     [("x*y = y*x", 2), ("x + y' = y' + x", 2), ("x*y*z = z*(y*x)", 3), ("x = x*y", 2)],
 )
 def test_check_work_stays_within_its_plan(monkeypatch, text, k):
-    # an orbit on m elements is m points, so each universe size's share of
-    # the points is m x its planned orbits; an identity evaluates them all
+    # the plan is the 2**k types, each one point, from a universe bound of
+    # 1 on; an identity evaluates them all, and a bound of 0 one empty pass
     eq = parse_equation(text)
     syms = XYZW[:k]
     widths = _recorded_widths(monkeypatch)
     for top in range(5):
         widths.clear()
         model = check_equation(eq, syms, top)
-        planned = sum(m * comb(m + 2**k - 1, m) for m in range(top + 1))
+        planned = 2**k * (top > 0)
         assert sum(widths) <= planned, top
         if model is None:
-            assert sum(widths) == planned, top
+            assert sum(widths) == planned and widths, top
 
 
 def _random_equation(rng, syms):
@@ -835,22 +854,9 @@ def test_oracle_errors_come_from_the_first_offending_node(m, subsets, error, mes
         check_equation(eq, (w, x)[: 1 + len(subsets)], m)
 
 
-def _first_failure(eq, syms, max_universe):
-    """The points before the first failing orbit, in orbit order over all
-    sizes, that orbit's points, and its model."""
-    points = 0
-    for m in range(max_universe + 1):
-        for types in _orbit_types(m, len(syms)):
-            a = _assignment(syms, types)
-            if not naive_holds(eq, a):
-                return points, len(types), a
-            points += len(types)
-    return None
-
-
 def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
-    # _BLOCK counts points: set to the points before the first failing
-    # orbit, that orbit starts a pass; set to those plus its own, it ends one
+    # _BLOCK counts points: set to the lowest failing type, that type
+    # starts a pass; set to one more, it ends one
     from elective import oracle
 
     rng = random.Random(1864)
@@ -859,16 +865,19 @@ def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
         syms = XYZW[:k]
         for _ in range(25):
             eq = Equation(random_expr(rng, syms, 3), random_expr(rng, syms, 3))
-            first = _first_failure(eq, syms, max_m)
-            if first is None:
+            models = [
+                SetAssignment(Universe(1), {s: t >> i & 1 for i, s in enumerate(syms)})
+                for t in range(2**k)
+            ]
+            failing = [t for t, a in enumerate(models) if not naive_holds(eq, a)]
+            if not failing:
                 assert check_equation(eq, syms, max_m) is None
                 continue
-            before, own, model = first
-            for block in {before, before + own} - {0}:
+            for block in {failing[0], failing[0] + 1} - {0}:
                 monkeypatch.setattr(oracle, "_BLOCK", block)
                 found = check_equation(eq, syms, max_m)
-                assert found.universe.size == model.universe.size
-                assert found.describe() == model.describe()
+                assert found.universe.size == 1
+                assert found.subsets == models[failing[0]].subsets
                 boundaries += 1
     assert boundaries > 60
 
