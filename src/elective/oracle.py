@@ -7,13 +7,12 @@ the algebra module's development code: the two meet only in tests, where
 the developed coefficient at a constituent must match the numeric value
 on that constituent's region.
 
-One evaluator serves every entry point.  It walks a tree flattened once
+One evaluator serves both checks.  It walks a tree flattened once
 into post-order, and each node holds its values at a whole row of points
 at once, bit-sliced: a symbol's column is one int, and a node's value is
 its numerator as two's-complement bit planes, with bounds taken from the
 tree, over one static denominator, so fractions stay exact.  The sides
-differ where the planes of their difference have a bit set.  holds is a
-pass at a model's m elements and eval_numeric a pass at one.
+differ where the planes of their difference have a bit set.
 
 Boole's elective symbols act on each element separately: the value of a
 tree at an element depends only on the element's type, where bit i of a
@@ -43,8 +42,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Mapping
@@ -90,10 +88,6 @@ class Universe:
     def full(self) -> int:
         return (1 << self.size) - 1
 
-    def subsets(self) -> range:
-        """All subset bitmasks, ascending."""
-        return range(1 << self.size)
-
 
 @dataclass(frozen=True, eq=False)
 class SetAssignment:
@@ -106,17 +100,6 @@ class SetAssignment:
         for s, mask in self.subsets.items():
             if mask & ~self.universe.full:
                 raise ValueError(f"subset for {s} exceeds the universe")
-
-    def subset(self, s: Symbol) -> int:
-        try:
-            return self.subsets[s]
-        except KeyError:
-            raise SymbolNotPresent(f"assignment does not cover symbol {s}") from None
-
-    def with_symbol(self, s: Symbol, mask: int) -> "SetAssignment":
-        updated = dict(self.subsets)
-        updated[s] = mask
-        return SetAssignment(self.universe, updated)
 
     def describe(self) -> str:
         parts = []
@@ -152,7 +135,9 @@ def _sum(x: list[int], y: list[int], carry: int) -> list[int]:
 
 def _constant(value: int, den: int, full: int) -> tuple:
     """The row of value/den at every point."""
-    planes = [full if value >> i & 1 else 0 for i in range(_width(value, value))]
+    width = _width(value, value)
+    bits = format(value & (1 << width) - 1, f"0{width}b")
+    planes = [full if bit == "1" else 0 for bit in reversed(bits)]
     return planes, value, value, den
 
 
@@ -264,40 +249,6 @@ def _columns(n: int, points: bytes) -> list[int]:
     ]
 
 
-@cache
-def _candidates(m: int) -> str:
-    """enumerate_solutions' column of the unknown over an m-element
-    model's 2**m candidate classes, as binary text: point (w, e) at
-    w*m + e holds bit e of w."""
-    return "".join(f"{w:0{m}b}" for w in reversed(range(1 << m)))[: m << m]
-
-
-def _fold(points: int, m: int) -> int:
-    """points with bit p set where any of bits p..p+m-1 is: at the first
-    point of each candidate of an m-element model, the OR of its m."""
-    span = 1
-    while span < m:
-        step = min(span, m - span)
-        points |= points >> step
-        span += step
-    return points
-
-
-def eval_numeric(e: Expr, assignment: SetAssignment, element: int) -> Fraction:
-    """Evaluate a division-free expression at one element, exactly."""
-    if not 0 <= element < assignment.universe.size:
-        raise ValueError(f"element {element} outside the universe")
-    columns = {s: mask >> element & 1 for s, mask in assignment.subsets.items()}
-    ((planes, _, _, den),) = _evaluate((tuple(_postorder(e)),), 1, columns)
-    unsigned = sum(p << i for i, p in enumerate(planes))
-    return Fraction(unsigned - (planes[-1] << len(planes)), den)
-
-
-def holds(eq: Equation, assignment: SetAssignment) -> bool:
-    """True iff both sides agree numerically at every element."""
-    return not _differ(_flatten(eq), assignment.universe.size, assignment.subsets)
-
-
 def _assignment(syms: tuple[Symbol, ...], t: int) -> SetAssignment:
     """The one-element model whose element has type t: bit i of t puts it
     in the i-th symbol."""
@@ -330,22 +281,11 @@ def _plan(
 
 
 def _passes(points: int) -> list[range]:
-    """The points 0..points-1 in ascending runs of at most _BLOCK."""
-    return [range(s, min(s + _BLOCK, points)) for s in range(0, points, _BLOCK)]
-
-
-def enumerate_solutions(
-    eq: Equation, unknown: Symbol | str, assignment: SetAssignment
-) -> list[int]:
-    """All subsets w for which the equation holds, ascending bit order;
-    the unknown is a name or a Symbol."""
-    (unknown,) = symbols([unknown])
-    m = assignment.universe.size
-    repeat = sum(1 << w * m for w in range(1 << m))  # a column once per candidate
-    columns = {s: mask * repeat for s, mask in assignment.subsets.items()}
-    columns[unknown] = int(_candidates(m) or "0", 2)
-    rejected = _fold(_differ(_flatten(eq), m << m, columns), m)
-    return [w for w in assignment.universe.subsets() if not rejected >> w * m & 1]
+    """The points 0..points-1 in ascending runs of at most _BLOCK, or one
+    empty run when there are none: every check walks both trees, so a
+    missing symbol or a quotient is refused at any universe bound."""
+    runs = [range(s, min(s + _BLOCK, points)) for s in range(0, points, _BLOCK)]
+    return runs or [range(0)]
 
 
 @dataclass(frozen=True)
@@ -489,11 +429,9 @@ def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment |
     equation fails in a model exactly where it fails at one of its
     elements, so the first failing model is the one-element model of the
     lowest type where the sides differ, and none fails if no type does.
-    With max_universe 0 no type is evaluated, but one empty pass still
-    walks both trees, so a missing symbol or a quotient is refused alike.
     """
     sides, syms = _flatten(eq), symbols(syms)
-    for run in _passes(_plan(sides, syms, max_universe, 1)) or [range(0)]:
+    for run in _passes(_plan(sides, syms, max_universe, 1)):
         columns = dict(zip(syms, _columns(len(syms), _packed(run))))
         differ = _differ(sides, len(run), columns)
         if differ:

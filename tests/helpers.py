@@ -26,7 +26,6 @@ from elective import (
     Symbol,
     Universe,
     constituents,
-    eval_numeric,
 )
 
 XYZW = tuple(Symbol(n) for n in "xyzw")
@@ -73,16 +72,6 @@ def random_expr(
     right = random_expr(rng, syms, depth - 1, allow_quot, fractional)
     node = {"add": Add, "sub": Sub, "mul": Mul, "quot": Quot}[op]
     return node(left, right)
-
-
-def oracle_vertex_value(e: Expr, vertex: dict[Symbol, int]) -> Fraction:
-    """Pointwise value of e at a 0/1 vertex, via the set oracle.
-
-    Independent of the algebra module: the vertex becomes a one-element
-    universe where each symbol is either the full set or the empty set.
-    """
-    a = SetAssignment(Universe(1), {s: bit for s, bit in vertex.items()})
-    return eval_numeric(e, a, 0)
 
 
 class Nested(Exception):
@@ -180,15 +169,22 @@ def naive_to_expr(form) -> Expr:
 
 def assignments(universe: Universe, syms: tuple[Symbol, ...]):
     """Every assignment of the given symbols, first symbol slowest."""
-    for choice in product(universe.subsets(), repeat=len(syms)):
+    for choice in product(range(1 << universe.size), repeat=len(syms)):
         yield SetAssignment(universe, dict(zip(syms, choice)))
+
+
+def extensions(a: SetAssignment, hidden: tuple[Symbol, ...]):
+    """a with every assignment of the hidden symbols added, first symbol
+    slowest."""
+    for b in assignments(a.universe, hidden):
+        yield SetAssignment(a.universe, {**a.subsets, **b.subsets})
 
 
 def region(c: Constituent, a: SetAssignment) -> int:
     """The elements lying in a constituent: meet of factors as a bitmask."""
     mask = a.universe.full
     for i, s in enumerate(c.symbols):
-        sub = a.subset(s)
+        sub = a.subsets[s]
         mask &= sub if c.mask >> i & 1 else a.universe.full & ~sub
     return mask
 
@@ -198,7 +194,7 @@ def naive_value(e: Expr, a: SetAssignment, element: int):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Sym):
-        return a.subset(e.symbol) >> element & 1
+        return a.subsets[e.symbol] >> element & 1
     if isinstance(e, Compl):
         return 1 - naive_value(e.operand, a, element)
     left, right = naive_value(e.left, a, element), naive_value(e.right, a, element)
@@ -247,7 +243,7 @@ def naive_models(sol, m: int) -> list[SetAssignment]:
     models = []
     for a in assignments(Universe(m), syms):
         types = [
-            sum((a.subset(s) >> e & 1) << i for i, s in enumerate(syms))
+            sum((a.subsets[s] >> e & 1) << i for i, s in enumerate(syms))
             for e in range(m)
         ]
         if types == sorted(types):
@@ -281,9 +277,9 @@ def naive_classes(sol, eq: Equation, a: SetAssignment) -> tuple[list, list]:
                 w |= piece
             assembled.append(w)
     solutions = [
-        w
-        for w in a.universe.subsets()
-        if naive_holds(eq, a.with_symbol(sol.unknown, w))
+        b.subsets[sol.unknown]
+        for b in extensions(a, (sol.unknown,))
+        if naive_holds(eq, b)
     ]
     return assembled, solutions
 

@@ -44,7 +44,6 @@ from helpers import (
     XYZW,
     Nested,
     naive_to_expr,
-    oracle_vertex_value,
     random_expr,
     reference_display_order,
     reference_value,
@@ -487,7 +486,7 @@ def _vertex_failures(e):
 
 def test_expansion_soundness_random():
     # expand develops every vertex in one pass; eval_at evaluates one
-    # vertex, and the set oracle evaluates division-free trees on its own
+    # vertex, and a direct recursion evaluates division-free trees on its own
     rng = random.Random(1854)
     failed_developments = 0
     for allow_quot in [False] * 300 + [True] * 300:
@@ -505,7 +504,7 @@ def test_expansion_soundness_random():
             at_vertex = eval_at(e, c.vertex())
             assert v == at_vertex and type(v) is type(at_vertex)
             if not contains_quotient(e):
-                assert v == oracle_vertex_value(e, c.vertex())
+                assert v == reference_value(e, c.vertex())
     assert failed_developments > 0
 
 

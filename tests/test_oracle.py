@@ -30,14 +30,12 @@ from elective import (
     Universe,
     UniverseLimitExceeded,
     check_equation,
-    enumerate_solutions,
-    eval_numeric,
     expand,
-    holds,
     parse_equation,
     solve_for,
     verify_solved,
 )
+from elective import oracle
 from elective.oracle import MAX_ORACLE_WORK
 from helpers import (
     XYZW,
@@ -64,33 +62,30 @@ def assign(m, **subsets):
     return SetAssignment(u, {globals()[name]: mask for name, mask in subsets.items()})
 
 
+def _differ_at(eq, a):
+    """The elements of model a, as a bitmask, where the sides of eq differ:
+    one pass of the oracle's evaluator over the model's own columns."""
+    return oracle._differ(oracle._flatten(eq), a.universe.size, a.subsets)
+
+
 def test_universe_limits():
-    assert Universe(0).subsets() == range(1)
+    assert Universe(0).full == 0
     assert Universe(3).full == 0b111
     with pytest.raises(UniverseLimitExceeded):
         Universe(9)
 
 
 def test_eval_numeric_indicator_arithmetic():
+    # each tree equals its value at the one element, and not that value plus one
     a = assign(1, x=1, y=1)
-    assert eval_numeric(Add(X, Y), a, 0) == 2
-    assert eval_numeric(Mul(X, Sub(ONE, X)), a, 0) == 0
-    assert eval_numeric(ONE, a, 0) == 1
-    assert eval_numeric(Compl(X), a, 0) == 0
-
-
-def test_eval_numeric_rejects_elements_outside_the_universe():
-    a = assign(2, x=1)
-    for element in (-1, 2):
-        message = f"^element {element} outside the universe$"
-        with pytest.raises(ValueError, match=message):
-            eval_numeric(X, a, element)
+    for e, value in ((Add(X, Y), 2), (Mul(X, Sub(ONE, X)), 0), (ONE, 1), (Compl(X), 0)):
+        assert _differ_at(Equation(e, Const(value)), a) == 0
+        assert _differ_at(Equation(e, Const(value + 1)), a) == 1
 
 
 def test_eval_numeric_rejects_quotients():
-    a = assign(1, x=1, y=1)
     with pytest.raises(QuotientInOracle):
-        eval_numeric(Quot(Y, X), a, 0)
+        check_equation(Equation(Quot(Y, X), ONE), (x, y), 1)
 
 
 def test_partition_identity_holds_everywhere():
@@ -98,14 +93,15 @@ def test_partition_identity_holds_everywhere():
     for m in range(0, 5):
         u = Universe(m)
         for a in assignments(u, (x, y)):
-            assert holds(eq, a)
+            assert not _differ_at(eq, a)
+    assert check_equation(eq, (x, y), 8) is None
 
 
 def test_holds_pointwise():
     eq = parse_equation("x*w = y")
-    assert holds(eq, assign(1, x=1, y=1, w=1))
-    assert not holds(eq, assign(1, x=1, y=1, w=0))
-    assert not holds(parse_equation("x + y = 1"), assign(1, x=1, y=1))
+    assert not _differ_at(eq, assign(1, x=1, y=1, w=1))
+    assert _differ_at(eq, assign(1, x=1, y=1, w=0))
+    assert _differ_at(parse_equation("x + y = 1"), assign(1, x=1, y=1))
 
 
 def test_region_masks():
@@ -127,25 +123,6 @@ def test_region_masks():
 def test_submasks_ascending():
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]
-
-
-def test_enumerate_solutions_examples():
-    eq = parse_equation("x*w = y")
-    # x covers the whole 2-element universe, y its first element:
-    # the only w with x n w = y is y itself
-    assert enumerate_solutions(eq, w, assign(2, x=0b11, y=0b01)) == [0b01]
-    # y outside x: no solution
-    assert enumerate_solutions(eq, w, assign(1, x=0b0, y=0b1)) == []
-    # 1*w = x forces w = x
-    assert enumerate_solutions(parse_equation("1*w = x"), w, assign(2, x=0b10)) == [
-        0b10
-    ]
-
-
-def test_enumerate_solutions_partial_constraint():
-    # x*w = x: any superset of x works
-    eq = parse_equation("x*w = x")
-    assert enumerate_solutions(eq, w, assign(2, x=0b01)) == [0b01, 0b11]
 
 
 def test_verify_solved_flagship():
@@ -220,38 +197,24 @@ def test_verify_size_zero_is_vacuous():
 
 def test_master_cross_check_oracle_vs_development():
     # the developed coefficient at a constituent equals the numeric value
-    # on every element of that constituent's region
+    # on every element of that constituent's region: the tree and its
+    # development agree in every model
     rng = random.Random(404)
     syms = (x, y, z)
     for _ in range(60):
         e = random_expr(rng, syms, depth=4)
         form = expand(e, syms)
-        for m in range(0, 4):
-            u = Universe(m)
-            for _ in range(8):
-                a = SetAssignment(
-                    u, {s: rng.randrange(1 << m) for s in syms}
-                )
-                for element in range(m):
-                    mask = 0
-                    for i, s in enumerate(syms):
-                        if a.subsets[s] >> element & 1:
-                            mask |= 1 << i
-                    assert eval_numeric(e, a, element) == form.coeff(mask)
+        assert check_equation(Equation(e, form.to_expr()), syms, 1) is None, str(e)
 
 
 def test_interpretable_means_every_element_is_zero_or_one():
+    # a value is 0 or 1 exactly where it equals its own square
     rng = random.Random(777)
     syms = (x, y)
     for _ in range(40):
         e = random_expr(rng, syms, depth=4)
         form = expand(e, syms)
-        pointwise_class = True
-        for m in range(1, 3):
-            for a in assignments(Universe(m), syms):
-                for element in range(m):
-                    if eval_numeric(e, a, element) not in (0, 1):
-                        pointwise_class = False
+        pointwise_class = check_equation(Equation(Mul(e, e), e), syms, 2) is None
         assert form.is_interpretable() == pointwise_class
 
 
@@ -307,7 +270,7 @@ def test_orbit_counts_are_multisets_of_types(k):
 
 def _type_multiset(a, syms):
     types = [
-        sum((a.subset(s) >> e & 1) << i for i, s in enumerate(syms))
+        sum((a.subsets[s] >> e & 1) << i for i, s in enumerate(syms))
         for e in range(a.universe.size)
     ]
     return tuple(sorted(types))
@@ -430,8 +393,6 @@ def test_verify_matches_naive_on_random_solved_classes(monkeypatch):
     # passes between and inside models: the verdict and the first
     # counterexample (its kind, size, model and witness) match the naive
     # reference, and a check that ran to the end counts every orbit
-    from elective import oracle
-
     rng = random.Random(2024)
     checked = Counter()
     for _ in range(1200):
@@ -490,8 +451,6 @@ def test_each_pass_decides_every_candidate_of_its_models(monkeypatch):
     # free symbols with a candidate for the unknown: the sides differ at a
     # point exactly where the naive reference says they do in that model,
     # and those models alone give the naive verdict over every size
-    from elective import oracle
-
     decided = []
     real = oracle._differ
 
@@ -553,8 +512,6 @@ def test_work_above_the_budget_is_refused_up_front(monkeypatch):
 
 def _recorded_widths(monkeypatch):
     """Record the width of every pass of the oracle's evaluator."""
-    from elective import oracle
-
     widths = []
     real = oracle._evaluate
 
@@ -568,8 +525,6 @@ def _recorded_widths(monkeypatch):
 
 def _recorded_passes(monkeypatch):
     """Record every pass of the oracle's evaluator as (width, columns)."""
-    from elective import oracle
-
     passes = []
     real = oracle._evaluate
 
@@ -585,8 +540,6 @@ def test_verify_evaluates_each_candidate_once(monkeypatch):
     # point 2t + c is type t of the free symbols with candidate c for the
     # unknown: every point once, in ascending order across passes of at
     # most _BLOCK points, whatever the universe bound
-    from elective import oracle
-
     passes = _recorded_passes(monkeypatch)
     cases = ("x*w = w*x", "x*w = y", "w*x*y*z = z*(1 - y)")
     for budget, text in product((oracle._BLOCK, 1, 7, 40), cases):
@@ -621,7 +574,6 @@ def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
     # the universe bound from 1 on and the point budget of a pass, and the
     # work run is exactly that, short only where both kinds of failure are
     # found before the last pass
-    from elective import oracle
     from elective.expr import _postorder
 
     eq = parse_equation(text)
@@ -675,8 +627,6 @@ def test_verify_refuses_constituents_over_another_basis(monkeypatch, group, basi
 def test_only_a_reported_model_becomes_a_set_assignment(monkeypatch):
     # one SetAssignment is built for the counterexample reported, whether
     # one or both kinds fail, and none for a verification that passes
-    from elective import oracle
-
     built = []
     real = oracle._assignment
 
@@ -708,8 +658,6 @@ def test_oracle_takes_only_data_types_from_algebra_and_inference():
     # the oracle stays independent of the development it checks: the only
     # names it may take from algebra and inference are the types it reads
     from pathlib import Path
-
-    from elective import oracle
 
     taken = {}
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
@@ -747,16 +695,6 @@ def test_check_work_stays_within_its_plan(monkeypatch, text, k):
             assert sum(widths) == planned and widths, top
 
 
-def _random_equation(rng, syms):
-    """Two random sides, one with a fractional multiple of a subtree."""
-    lhs = random_expr(rng, syms, 3)
-    rhs = random_expr(rng, syms, 3)
-    if rng.random() < 0.5:
-        scale = Const(Fraction(rng.choice((-5, -1, 1, 3, 7)), rng.choice((2, 3, 4))))
-        rhs = Sub(rhs, Mul(scale, random_expr(rng, syms, 2)))
-    return Equation(lhs, rhs) if rng.random() < 0.5 else Equation(rhs, lhs)
-
-
 def _wide_tree(rng, syms, kind):
     """A division-free tree whose values the bit planes find hard."""
     e = random_expr(rng, syms, 3, fractional=True)
@@ -780,8 +718,6 @@ def _wide_tree(rng, syms, kind):
 def test_bit_planes_match_the_naive_oracle(monkeypatch):
     # every entry point against the element-by-element reference, with
     # point budgets that split the passes between and inside models
-    from elective import oracle
-
     rng = random.Random(1997)
     kinds = ("plain", "wide", "chain", "power")
     seen = {"wide": 0, "verified": 0, "failing": 0, "identities": 0}
@@ -795,12 +731,14 @@ def test_bit_planes_match_the_naive_oracle(monkeypatch):
         eq = Equation(lhs, rhs)
         m = rng.randint(0, 3)
         a = SetAssignment(Universe(m), {s: rng.randrange(1 << m) for s in syms})
-        if m:
-            e = rng.randrange(m)
-            value = naive_value(eq.lhs, a, e)
-            assert eval_numeric(eq.lhs, a, e) == value, str(eq.lhs)
-            seen["wide"] += abs(value) > 2**64
-        assert holds(eq, a) == naive_holds(eq, a), str(eq)
+        # the left side equals a constant exactly at the elements where
+        # the naive oracle gives it that value
+        values = [naive_value(eq.lhs, a, e) for e in range(m)]
+        for value in set(values):
+            differ = _differ_at(Equation(eq.lhs, Const(value)), a)
+            assert differ == sum(1 << e for e, v in enumerate(values) if v != value)
+        seen["wide"] += any(abs(v) > 2**64 for v in values)
+        assert (not _differ_at(eq, a)) == naive_holds(eq, a), str(eq)
         model = check_equation(eq, syms, 2)
         first = naive_first_failure(eq, syms, 2)
         assert (model and model.universe.size) == first, str(eq)
@@ -817,22 +755,6 @@ def test_bit_planes_match_the_naive_oracle(monkeypatch):
     assert min(seen.values()) > 40, seen
 
 
-def test_enumerate_solutions_matches_per_candidate_reference():
-    rng = random.Random(1815)
-    solvable = 0
-    for _ in range(400):
-        k = rng.randint(0, 3)
-        eq = _random_equation(rng, XYZW[:k] + (w,))
-        m = rng.randint(0, 4)
-        a = SetAssignment(Universe(m), {s: rng.randrange(1 << m) for s in XYZW[:k]})
-        naive = [
-            c for c in Universe(m).subsets() if naive_holds(eq, a.with_symbol(w, c))
-        ]
-        assert enumerate_solutions(eq, w, a) == naive, (str(eq), a.describe())
-        solvable += bool(naive) and len(naive) < 2**m
-    assert solvable > 40
-
-
 @pytest.mark.parametrize(
     "m, subsets, error, message",
     [
@@ -843,22 +765,22 @@ def test_enumerate_solutions_matches_per_candidate_reference():
     ],
 )
 def test_oracle_errors_come_from_the_first_offending_node(m, subsets, error, message):
-    # post-order meets x before the quotient x/x, at every universe size
+    # post-order meets x before the quotient x/x, at every universe size;
+    # verify_solved refuses an equation symbol outside its solution's
+    # free symbols before it evaluates anything
     eq = parse_equation("w = x/x")
-    a = SetAssignment(Universe(m), subsets)
     with pytest.raises(error, match=f"^{message}$"):
-        enumerate_solutions(eq, w, a)
+        check_equation(eq, (w, *subsets), m)
+    sol = solve_for(parse_equation("w = 1"), w, tuple(subsets))
+    if not subsets:
+        message = r"equation symbols \['x'\] are not covered by the solution's free symbols"
     with pytest.raises(error, match=f"^{message}$"):
-        holds(eq, a.with_symbol(w, 0))
-    with pytest.raises(error, match=f"^{message}$"):
-        check_equation(eq, (w, x)[: 1 + len(subsets)], m)
+        verify_solved(sol, eq, m)
 
 
 def test_check_equation_first_failure_across_block_boundaries(monkeypatch):
     # _BLOCK counts points: set to the lowest failing type, that type
     # starts a pass; set to one more, it ends one
-    from elective import oracle
-
     rng = random.Random(1864)
     boundaries = 0
     for k, max_m in ((1, 4), (2, 4), (3, 3)):
@@ -892,6 +814,20 @@ def test_set_assignment_subsets_lie_in_the_universe():
     with pytest.raises(ValueError, match="^subset for x exceeds the universe$"):
         SetAssignment(Universe(2), {x: 0b100})
     a = SetAssignment(Universe(2), {x: 0b11})
-    assert a.subset(x) == 3
-    with pytest.raises(SymbolNotPresent, match="^assignment does not cover symbol y$"):
-        a.subset(y)
+    assert a.subsets[x] == 3
+
+
+def test_constant_planes_are_the_bits_of_the_value():
+    # a constant's planes, read off its binary text, are its two's-complement
+    # bits one by one, the last plane the sign, from zero to 20 000 bits
+    rng = random.Random(1815)
+    full = 0b1011
+    values = [0, 1, -1, 2, -2, 2**64, -(2**64), 2**64 - 1, 1 - 2**64]
+    for _ in range(40):
+        values.append(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 20_000)))
+    for value in values:
+        planes, lo, hi, den = oracle._constant(value, 7, full)
+        width = oracle._width(value, value)
+        assert planes == [full if value >> i & 1 else 0 for i in range(width)]
+        assert planes[-1] == (full if value < 0 else 0)
+        assert (lo, hi, den) == (value, value, 7)

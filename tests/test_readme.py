@@ -1,13 +1,16 @@
-"""The README's command-line examples, run through the CLI.
+"""The README's examples, run.
 
 Each `$ elective ...` line in a fenced block of README.md is one example:
 its stdout, tabs expanded, must be the lines that follow it, up to the
 next command or the end of the block.  An example whose command ends in
-a `#` note shows no output, so it is not run.
+a `#` note shows no output, so it is not run.  The fenced `python` block
+is the library example: it runs as written, and gives what its comments
+say.
 """
 
 from __future__ import annotations
 
+import re
 import shlex
 from pathlib import Path
 
@@ -48,3 +51,18 @@ def test_the_readme_shows_examples():
 def test_readme_example_prints_what_it_shows(capsys, command, shown):
     main(shlex.split(command))
     assert capsys.readouterr().out.expandtabs() == shown
+
+
+def test_the_library_example_gives_what_its_comments_say(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    notes = [line.partition("#") for line in block.splitlines()]
+    assert {code.strip(): note.strip() for code, _, note in notes if note} == {
+        "f.is_interpretable()": "False: coefficient 2 at x*y",
+        "print(sol)": "w = x*y + v1*x'*y'  where x'*y = 0",
+        "verify_solved(sol, eq, 4).ok": "True, checked exhaustively",
+    }
+    names: dict = {}
+    exec(block, names)
+    assert capsys.readouterr().out == "w = x*y + v1*x'*y'  where x'*y = 0\n"
+    assert names["f"].is_interpretable() is False
+    assert names["verify_solved"](names["sol"], names["eq"], 4).ok is True

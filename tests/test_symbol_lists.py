@@ -17,12 +17,10 @@ from elective import (
     LinearForm,
     SetAssignment,
     Symbol,
-    Universe,
     analyze,
     check_equation,
     constituents,
     eliminate,
-    enumerate_solutions,
     expand,
     free_symbols,
     inference,
@@ -80,7 +78,7 @@ def test_a_string_is_never_split_into_letters():
 def test_check_equation_reads_a_string_basis():
     assert check_equation(parse_equation("x = x*x"), "x", 2) is None
     model = check_equation(parse_equation("x = 0"), "x", 2)
-    assert model.universe.size == 1 and model.subset(x) == 1
+    assert model.universe.size == 1 and model.subsets[x] == 1
 
 
 def test_expand_defaults_to_the_expressions_own_symbols():
@@ -98,9 +96,6 @@ ONE_SYMBOL = {
     "solve_for": lambda w: solve_for(EQ, w),
     "syllogism": lambda w: syllogism(
         [parse_equation("x*y' = 0"), parse_equation("y*w' = 0")], "y", conclude_for=w
-    ),
-    "enumerate_solutions": lambda w: enumerate_solutions(
-        EQ, w, SetAssignment(Universe(2), {x: 0b11, y: 0b01})
     ),
 }
 
