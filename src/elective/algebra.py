@@ -189,14 +189,6 @@ def _where(first: Constituent, others: int) -> str:
     return f"{first} and {others} other constituent{'s' if others > 1 else ''}"
 
 
-def _require_basis(c: Constituent, syms: tuple[Symbol, ...]) -> None:
-    if c.symbols != syms:
-        raise SymbolListMismatch(
-            f"constituent {c} is over {[s.name for s in c.symbols]}, "
-            f"not {[s.name for s in syms]}"
-        )
-
-
 def _literals(syms: tuple[Symbol, ...]) -> list[tuple[Expr, Expr]]:
     """One (complement, plain) node pair per symbol, shared by every term."""
     return [(Compl(s), s) for s in map(Sym, syms)]
@@ -355,7 +347,11 @@ class LinearForm:
         """The coefficient of a constituent over this form's symbols, or of
         a mask in 0..2**n - 1."""
         if isinstance(c, Constituent):
-            _require_basis(c, self.symbols)
+            if c.symbols != self.symbols:
+                raise SymbolListMismatch(
+                    f"constituent {c} is over {[s.name for s in c.symbols]}, "
+                    f"not {[s.name for s in self.symbols]}"
+                )
             return self.coeffs[c.mask]
         if not 0 <= c < len(self.coeffs):
             raise ValueError(f"mask {c} outside 0..{len(self.coeffs) - 1}")

@@ -26,7 +26,7 @@ equation is rendered as an Expr only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import mul
@@ -36,7 +36,6 @@ from .algebra import (
     LinearForm,
     _layout,
     _pointwise,
-    _require_basis,
     _texts,
     _times,
     check_symbol_list,
@@ -47,6 +46,7 @@ from .algebra import (
 from .errors import (
     EmptyPremises,
     NameCollision,
+    SymbolListMismatch,
     SymbolNotPresent,
     UninterpretableNesting,
 )
@@ -107,20 +107,39 @@ class SolvedClass:
     side_conditions: frozenset[Constituent]
     excluded: frozenset[Constituent]
 
+    def _reading(self) -> bytearray:
+        """Each mask's code, as _solved groups it: bit c is set where w = c
+        is not assembled, so 0 indeterminate, 1 included, 2 excluded (or in
+        no group) and 3 side condition.  In two groups, a side condition
+        wins over included, included over indeterminate, and indeterminate
+        over excluded.  A constituent over another symbol list is refused."""
+        syms = self.free_symbols
+        reading = bytearray([2]) * (1 << len(syms))
+        pieces = [c for _, c in self.indeterminate]
+        groups = (self.excluded, pieces, self.included, self.side_conditions)
+        for code, group in zip((2, 0, 1, 3), groups):
+            for c in group:
+                if c.symbols != syms:
+                    raise SymbolListMismatch(
+                        f"constituent {c} is over {[s.name for s in c.symbols]}, "
+                        f"not the solution's free symbols {[s.name for s in syms]}"
+                    )
+                reading[c.mask] = code
+        return reading
+
+    def _grouped(self, *codes: int) -> tuple[list[str], ...]:
+        """The texts of the masks that read as each code, in the layout."""
+        reading, syms = self._reading(), self.free_symbols
+        text, n = _texts(syms), len(syms)
+        return tuple([text(m) for m in _layout(n) if reading[m] == c] for c in codes)
+
     def display_groups(self) -> tuple[list[str], ...]:
         """Included, side-condition and excluded texts, each in the layout."""
-        syms = self.free_symbols
-        code = bytearray([3]) * (1 << len(syms))  # each mask's group; 3: none
-        for k, group in enumerate((self.included, self.side_conditions, self.excluded)):
-            for c in group:
-                _require_basis(c, syms)
-                code[c.mask] = k
-        text, n = _texts(syms), len(syms)
-        return tuple([text(m) for m in _layout(n) if code[m] == k] for k in range(3))
+        return self._grouped(1, 3, 2)
 
     def describe(self) -> str:
         """One-line 'w = ...' plus side conditions; excluded texts are not made."""
-        included, side, _ = replace(self, excluded=frozenset()).display_groups()
+        included, side = self._grouped(1, 3)
         included += [_times(str(v), str(c)) for v, c in self.indeterminate]
         head = [f"{self.unknown} = ", " + ".join(included) or "0"]
         where = ["  where ", " = 0, ".join(side), " = 0"] if side else []

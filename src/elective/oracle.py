@@ -21,15 +21,15 @@ model exactly when it holds in the one-element model of each of its
 elements' types, and the exhaustive checks decide every universe of 1 to
 max_universe elements with one pass over the 2**k types of k symbols,
 at most _BLOCK points wide at a time; the symbols' columns are read off
-the points' types.  verify_solved takes each type twice, once for each
-value of the unknown, with the solution's reading of the type packed
-beside it, so a few operations on the pass's ints (broadword, as in
-Knuth, TAOCP 4A, 7.1.3) give the candidates that are rejected and those
-not assembled.  A SetAssignment (subsets as bitmasks) is built only for
-a model that is reported.  Before evaluating, a check counts its work
-(points x tree nodes) and refuses with UniverseLimitExceeded above
-MAX_ORACLE_WORK; that count is exactly the work run, short of a stop at
-a failure.
+the points' types.  verify_solved runs the same pass over the unknown and
+the free symbols, so point 2t + c is type t with the unknown at c, and
+reads the solution's code for type t as bits 2t and 2t + 1 of one int:
+a few operations on the pass's ints (broadword, as in Knuth, TAOCP 4A,
+7.1.3) give the candidates that are rejected and those not assembled.
+A SetAssignment (subsets as bitmasks) is built only for a model that is
+reported.  Before evaluating, a check counts its work (points x tree
+nodes) and refuses with UniverseLimitExceeded above MAX_ORACLE_WORK;
+that count is exactly the work run, short of a stop at a failure.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -43,11 +43,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .errors import QuotientInOracle, SymbolListMismatch, SymbolNotPresent
+from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
 from .expr import _postorder, symbols
@@ -55,14 +54,14 @@ from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
 
-# Node evaluations that one exhaustive check may plan: points (2**k types,
-# twice over for an unknown) x tree nodes; a plan above it is refused
-# before anything runs.  Measured on a 2-vCPU x86-64 host, a node evaluation
-# takes 0.002 to 0.01 us in passes thousands of points wide: verify_solved
-# over 18 free symbols runs 24 million in 0.2 s.  A narrow pass costs about
-# 1.5 to 2.5 us per node whatever its width, so a plan over one or two
-# symbols admits trees of millions of nodes, which take about as long again
-# to parse.
+# Node evaluations that one exhaustive check may plan: points (the 2**k
+# types of its k symbols, an unknown among them) x tree nodes; a plan
+# above it is refused before anything runs.  Measured on a 2-vCPU x86-64
+# host, a node evaluation takes 0.002 to 0.01 us in passes thousands of
+# points wide: verify_solved over 18 free symbols runs 24 million in 0.2 s.
+# A narrow pass costs about 1.5 to 2.5 us per node whatever its width, so
+# a plan over one or two symbols admits trees of millions of nodes, which
+# take about as long again to parse.
 MAX_ORACLE_WORK = 25_000_000
 
 # Points that one pass of the evaluator covers, at most.
@@ -231,6 +230,10 @@ def _differ(sides: tuple, width: int, columns: Mapping[Symbol, int]) -> int:
 _BIT_TEXT = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
 
 
+# Each code 0..3 of a solution's reading as its base-4 digit.
+_DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
+
+
 def _packed(types: Iterable[int]) -> bytes:
     """The types, 8 little-endian bytes each.  A type fits in 64 bits: a
     plan over more symbols is refused on any universe with points."""
@@ -256,20 +259,16 @@ def _assignment(syms: tuple[Symbol, ...], t: int) -> SetAssignment:
 
 
 def _plan(
-    sides: tuple[tuple[Expr, ...], ...],
-    syms: tuple[Symbol, ...],
-    max_universe: int,
-    candidates: int,
+    sides: tuple[tuple[Expr, ...], ...], syms: tuple[Symbol, ...], max_universe: int
 ) -> int:
     """The points of an exhaustive check on universes up to max_universe:
-    each of the 2**k types of syms with each of `candidates` values of an
-    unknown, and none when max_universe is 0.
+    the 2**k types of syms, and none when max_universe is 0.
 
     Refuses up front, before any evaluation, when max_universe is out of
     range or when the planned work (points x nodes of both sides) exceeds
     MAX_ORACLE_WORK.
     """
-    points = candidates << len(syms) if Universe(max_universe).size else 0
+    points = 1 << len(syms) if Universe(max_universe).size else 0
     work = points * sum(map(len, sides))
     if work > MAX_ORACLE_WORK:
         raise UniverseLimitExceeded(
@@ -280,12 +279,16 @@ def _plan(
     return points
 
 
-def _passes(points: int) -> list[range]:
-    """The points 0..points-1 in ascending runs of at most _BLOCK, or one
-    empty run when there are none: every check walks both trees, so a
-    missing symbol or a quotient is refused at any universe bound."""
-    runs = [range(s, min(s + _BLOCK, points)) for s in range(0, points, _BLOCK)]
-    return runs or [range(0)]
+def _differences(sides: tuple, syms: tuple[Symbol, ...], points: int):
+    """Each run of the points 0..points-1, at most _BLOCK of them in
+    ascending order, with the bitmask of its points where the sides differ:
+    bit i of point p is the value of syms[i].  With no points, one empty
+    run: every check walks both trees, so a missing symbol or a quotient
+    is refused at any universe bound."""
+    for start in range(0, max(points, 1), _BLOCK):
+        run = range(start, min(start + _BLOCK, points))
+        columns = dict(zip(syms, _columns(len(syms), _packed(run))))
+        yield run, _differ(sides, len(run), columns)
 
 
 @dataclass(frozen=True)
@@ -355,45 +358,28 @@ def verify_solved(
     So a model has a class assembled but rejected, or satisfying but not
     assembled, only if the one-element model of one of its elements' types
     has one, and the one-element models, themselves in range, decide every
-    size: point 2t + c is type t with candidate c, each evaluated once.  sound: every
-    assembled class is a solution.  complete: every solution is
-    assembled.  The failure at the lowest type is reported, soundness
+    size: point 2t + c is type t with candidate c, each evaluated once.
+
+    sound: every assembled class is a solution.  complete: every solution
+    is assembled.  The failure at the lowest type is reported, soundness
     before completeness, with the smaller failing candidate as witness.
     The report counts the models of each size that the verdict covers.
     """
-    sides = _flatten(eq)
-    syms = sol.free_symbols
-    points = _plan(sides, syms, max_universe, 2)
+    sides, syms = _flatten(eq), sol.free_symbols
+    points = _plan(sides, (sol.unknown, *syms), max_universe)
     extras = [s for s in eq.free_symbols() if s != sol.unknown and s not in syms]
     if extras:
         raise SymbolNotPresent(
             f"equation symbols {[s.name for s in extras]} are not covered "
             "by the solution's free symbols"
         )
-    pieces = [c for _, c in sol.indeterminate]
-    for c in chain(sol.included, pieces, sol.side_conditions, sol.excluded):
-        if c.symbols != syms:
-            raise SymbolListMismatch(
-                f"constituent {c} is over {[s.name for s in c.symbols]}, not "
-                f"the solution's free symbols {[s.name for s in syms]}"
-            )
-    k = len(syms)
-    # Each type carries its reading in bits k and k + 1: 1 included, 2
-    # indeterminate, 3 side condition, 0 for every other type (excluded);
-    # in two groups, a side condition wins, then included.
-    reading = dict.fromkeys((c.mask for c in pieces), 2)
-    reading.update((c.mask, 1) for c in sol.included)
-    reading.update((c.mask, 3) for c in sol.side_conditions)
+    reading = sol._reading()
+    # bit 2t + c: candidate c misfits type t (an included element that it
+    # lacks, an excluded one that it holds, and every side-condition one)
+    rejected = int(reading[::-1].translate(_DIGITS), 4)
     first: dict[str, int] = {}  # each kind's lowest failing point
-    for run in _passes(points):
-        packed = _packed(p | reading.get(p >> 1, 0) << k + 1 for p in run)
-        unknown, *columns, low, high = _columns(k + 3, packed)
-        columns = dict(zip(syms, columns))
-        columns[sol.unknown] = unknown
-        differ = _differ(sides, len(run), columns)
-        # a candidate misfits an included element that it lacks, an
-        # excluded one that it holds, and every side-condition element
-        misfit = low ^ (unknown & ~high)
+    for run, differ in _differences(sides, (sol.unknown, *syms), points):
+        misfit = rejected >> run.start & (1 << len(run)) - 1
         for kind, bits in zip(_NOTES, (differ & ~misfit, misfit & ~differ)):
             if bits and kind not in first:
                 first[kind] = run.start + (bits & -bits).bit_length() - 1
@@ -409,8 +395,8 @@ def verify_solved(
         )
     # the models of each size, one per orbit: every type on one element,
     # the types that are not side conditions on more
-    types = 1 << k
-    kept = types - list(reading.values()).count(3)
+    types = len(reading)
+    kept = types - reading.count(3)
     sizes = range(1, max_universe + 1)
     evaluated = [types if m == 1 else comb(m + kept - 1, m) for m in sizes]
     return VerificationReport(
@@ -431,9 +417,7 @@ def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment |
     lowest type where the sides differ, and none fails if no type does.
     """
     sides, syms = _flatten(eq), symbols(syms)
-    for run in _passes(_plan(sides, syms, max_universe, 1)):
-        columns = dict(zip(syms, _columns(len(syms), _packed(run))))
-        differ = _differ(sides, len(run), columns)
+    for run, differ in _differences(sides, syms, _plan(sides, syms, max_universe)):
         if differ:
             return _assignment(syms, run.start + (differ & -differ).bit_length() - 1)
     return None

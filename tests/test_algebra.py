@@ -361,14 +361,17 @@ def test_display_order_refuses_constituents_over_different_symbol_lists():
     # one layout ranks masks of one basis; a mask of another means
     # another constituent, so a solution grouping one is refused
     sol = solve_for(Equation(Mul(X, Sym(w)), Y), w)
-    for group in ("included", "side_conditions", "excluded"):
+    for group in ("included", "indeterminate", "side_conditions", "excluded"):
         for stranger in (Constituent((x,), 1), Constituent((y, x), 2)):
-            bad = dataclasses.replace(sol, **{group: getattr(sol, group) | {stranger}})
+            if group == "indeterminate":
+                grown = sol.indeterminate + ((Symbol("v9"), stranger),)
+            else:
+                grown = getattr(sol, group) | {stranger}
+            bad = dataclasses.replace(sol, **{group: grown})
             with pytest.raises(SymbolListMismatch):
                 bad.display_groups()
-            if group != "excluded":  # describe prints no excluded constituent
-                with pytest.raises(SymbolListMismatch):
-                    bad.describe()
+            with pytest.raises(SymbolListMismatch):
+                bad.describe()
 
 
 def _reference_text(c) -> str:

@@ -5,7 +5,8 @@ Every imported name is used by the module that imports it, every
 module-level private name is used somewhere in the package, every error
 type is constructed outside errors.py, the package's __init__ imports
 exactly what its __all__ exports, no module but expr tells a name from a
-Symbol, and no function calls itself, directly or through others.
+Symbol, no module but inference reads a solution's groups, and no
+function calls itself, directly or through others.
 """
 
 from __future__ import annotations
@@ -118,6 +119,20 @@ def test_only_expr_reads_a_name_as_a_symbol():
         and "str" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
     }
     assert readers <= {"expr"}, f"{sorted(readers - {'expr'})} test for str"
+
+
+def test_only_inference_reads_a_solutions_groups():
+    # every other module reads a solution through SolvedClass's own
+    # readers; the CLI reads the indeterminate pairs for their v-names
+    readers: dict[str, set[str]] = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in {
+                "included", "indeterminate", "side_conditions", "excluded"
+            }:
+                readers.setdefault(node.attr, set()).add(module)
+    assert readers.pop("indeterminate") <= {"inference", "cli"}
+    assert all(modules == {"inference"} for modules in readers.values()), readers
 
 
 def _call_graph() -> dict[str, set[str]]:

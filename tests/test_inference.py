@@ -38,7 +38,8 @@ from elective import (
     symbols,
     verify_solved,
 )
-from elective.inference import _eliminated
+from elective import cli
+from elective.inference import _eliminated, _split
 from helpers import (
     XYZW,
     assignments,
@@ -318,6 +319,49 @@ def test_solve_non_unit_coefficients_become_side_conditions():
     assert {str(c) for c in sol.side_conditions} == {"x'*y", "x*y"}
     report = verify_solved(sol, parse_equation("2*x*w = y"), 3)
     assert report.sound and report.complete
+
+
+def test_a_constituent_in_two_groups_reads_one_way_everywhere():
+    # included wins over excluded in the printed groups, the one-line
+    # solution, the CLI's payload and the oracle alike
+    eq = parse_equation("x*w = y")
+    sol = solve_for(eq, w)
+    xy = constituents((x, y))[3]
+    both = dataclasses.replace(sol, excluded=sol.excluded | {xy})
+    assert both.display_groups() == (["x*y"], ["x'*y"], ["x*y'"])
+    assert both.describe() == sol.describe() == "w = x*y + v1*x'*y'  where x'*y = 0"
+    payload = cli._solution_payload(both)
+    assert payload["included"] == ["x*y"]
+    assert payload["solution"] == "w = x*y + v1*x'*y'  where x'*y = 0"
+    assert verify_solved(both, eq, 3).ok
+
+
+def test_a_constituent_in_no_group_reads_as_excluded():
+    # the display lists it where the oracle reads it, and so finds it wrong
+    eq = parse_equation("x*w = y")
+    dropped = dataclasses.replace(solve_for(eq, w), side_conditions=frozenset())
+    assert dropped.display_groups() == (["x*y"], [], ["x*y'", "x'*y"])
+    report = verify_solved(dropped, eq, 2)
+    assert not report.sound
+    assert str(report.counterexample) == (
+        "sound failure on universe of size 1: x = {}; y = {0}; w = {} "
+        "(assembled class does not satisfy the equation)"
+    )
+
+
+def test_the_reading_is_the_code_the_solution_was_grouped_by():
+    rng = random.Random(1854)
+    for _ in range(200):
+        syms = XYZW[: rng.randint(0, 4)] + (Symbol("u"),)
+        eq = Equation(random_expr(rng, syms, 5), random_expr(rng, syms, 3))
+        try:
+            sol = solve_for(eq, "u", syms[:-1])
+        except SymbolNotPresent:  # the unknown cancelled out of the tree
+            continue
+        form = expand(eq.homogeneous(), (*sol.free_symbols, sol.unknown))
+        _, a, b = _split(form, sol.unknown)
+        code = bytes(2 * (p != 0) + (q != 0) for p, q in zip(a, b))
+        assert bytes(sol._reading()) == code
 
 
 # ---------------------------------------------------------------------------
