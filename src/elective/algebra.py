@@ -9,8 +9,8 @@ to 1, so every expression develops uniquely into
 
 where the vertex of C assigns 1 to each plain factor and 0 to each
 complemented one.  This module computes that development by evaluating
-the tree once at all 2**n vertices together, which makes the index law
-(x**n = x), distributivity and commutativity hold by construction.
+each distinct subtree once at all 2**n vertices together, so the index
+law (x**n = x), distributivity and commutativity hold by construction.
 
 Coefficients are exact rationals (fractions.Fraction).  Inside the pass
 values stay ints wherever they are integral, exact quotients included;
@@ -31,9 +31,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partialmethod
+from functools import partial, partialmethod
 from itertools import compress, count, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
     InvalidSymbolList,
@@ -55,7 +55,6 @@ from .expr import (
     Symbol,
     ZERO,
     _postorder,
-    free_symbols,
     symbols,
 )
 
@@ -212,13 +211,13 @@ def eval_at(e: Expr, vertex: Mapping[Symbol, int]) -> Coeff:
     UninterpretableNesting is raised.
     """
 
-    def value(s: Symbol) -> list:
+    def column(s: Symbol) -> Callable[[], list]:
         try:
-            return [vertex[s]]
+            return [vertex[s]].copy
         except KeyError:
             raise SymbolNotPresent(f"vertex does not assign symbol {s}") from None
 
-    values, extended, failed = _evaluate(e, 1, value)
+    values, extended, failed = _evaluate(_plan(e), 1, column)
     if failed:
         _require_finite(*failed[0])
     return extended[0] if extended else Fraction(values[0])
@@ -235,49 +234,89 @@ _CONTEXTS = {
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _evaluate(e: Expr, width: int, value) -> tuple[list, dict, dict]:
-    """The values of e at `width` points, in one post-order pass.
+class _Plan(NamedTuple):
+    """A tree as its distinct subtrees, in first-occurrence order (_plan)."""
 
-    value(s) gives symbol s's values.  A node's value is a list with one
-    int or Fraction per point (an int wherever the value is integral),
-    holding 0 where the node takes an extended value; those are kept
-    aside by point, one object per distinct value in the pass.  An
-    extended operand fails its point, which keeps its first failure as
-    (value, context) for _require_finite.  Returns the root's values, its
-    extended values and the failures, early once every point has failed.
-    """
-    stack: list[tuple[list, dict]] = []
-    failed: dict[int, tuple[Coeff, str]] = {}
-    specials: dict = {0: INDETERMINATE}  # x/0 by numerator x
+    nodes: list[tuple]  # (type, symbol or value, None) or (type, operand slots)
+    uses: list[int]  # the distinct nodes taking each slot as an operand; 1 at the root
+    symbols: tuple[Symbol, ...]  # in first-occurrence order, as free_symbols gives them
+    divides: bool  # whether a quotient occurs
+
+
+def _plan(e: Expr) -> _Plan:
+    """e's distinct subtrees from one post-order walk.  A leaf's key is its
+    type and symbol or value, an inner node's its type and operand slots (a
+    complement's one slot twice), so equal subtrees share a slot."""
+    slots: dict = {}
+    nodes: list[tuple] = []
+    operands: list[int] = []  # the slots of the operands still to be taken
     for node in _postorder(e):
         kind = type(node)
         if kind is Sym:
-            stack.append((value(node.symbol), {}))
-            continue
-        if kind is Const:
+            entry, key = (kind, node.symbol, None), node.symbol.name
+        elif kind is Const:
             v = node.value
-            stack.append(([v.numerator if v.denominator == 1 else v] * width, {}))
-            continue
-        operands = [stack.pop()] if kind is Compl else [stack.pop(-2), stack.pop()]
-        for (_, ext), context in zip(operands, _CONTEXTS[kind]):
-            for p, x in ext.items():
-                failed.setdefault(p, (x, context))
-        if len(failed) == width:
-            return [], {}, failed
-        a, b = operands[0][0], operands[-1][0]
-        ext = {}
-        if kind is Compl:
-            values = list(map(operator.sub, repeat(1), a))
-        elif kind is Quot:
-            values = [_quotient(x, y) if y else 0 for x, y in zip(a, b)]
-            zeros = [p for p, y in enumerate(b) if not y]
-            for k in {a[p] for p in zeros}.difference(specials):
-                specials[k] = Infinite(k)
-            ext = {p: specials[a[p]] for p in zeros}
+            entry = key = (kind, v.numerator if v.denominator == 1 else v, None)
         else:
-            values = list(map(_ARITHMETIC[kind], a, b))
-        stack.append((values, ext))
-    return stack[-1][0], stack[-1][1], failed
+            b = operands.pop()
+            entry = key = (kind, b, b) if kind is Compl else (kind, operands.pop(), b)
+        slot = slots.setdefault(key, len(nodes))
+        if slot == len(nodes):
+            nodes.append(entry)
+        operands.append(slot)
+    uses = [0] * (len(nodes) - 1) + [1]
+    for kind, a, b in nodes:
+        if kind is not Sym and kind is not Const:
+            uses[a] += 1
+            uses[b] += 1
+    named = tuple(a for kind, a, _ in nodes if kind is Sym)
+    return _Plan(nodes, uses, named, any(kind is Quot for kind, _, _ in nodes))
+
+
+def _evaluate(plan: _Plan, width: int, column) -> tuple[list, dict, dict]:
+    """The values of a planned tree at `width` points, each distinct subtree
+    taken once and dropped after its last use; column(s), called where s
+    first occurs, makes symbol s's values at each use.  A value is an int
+    (where integral) or Fraction per point, 0 where it is extended; those
+    are kept aside by point, one object per distinct value.  An extended
+    operand fails its point, keeping its first failure as (value, context).
+    Returns the root's values and extended values and the failures, early
+    once every point has failed."""
+    held: list = []  # by slot: a leaf's maker, or an inner node's values
+    extended: dict[int, dict] = {}  # by slot, where an inner node has any
+    left = plan.uses.copy()
+    failed: dict[int, tuple[Coeff, str]] = {}
+    specials: dict = {0: INDETERMINATE}  # x/0 by numerator x
+    for slot, (kind, a, b) in enumerate(plan.nodes):
+        if kind is Sym or kind is Const:
+            held.append(column(a) if kind is Sym else partial(operator.mul, [a], width))
+            continue
+        x = held[a] if type(held[a]) is list else held[a]()
+        y = x if b == a else (held[b] if type(held[b]) is list else held[b]())
+        if extended:
+            for s, context in zip((a, b), _CONTEXTS[kind]):
+                for p, v in extended.get(s, {}).items():
+                    failed.setdefault(p, (v, context))
+            if len(failed) == width:
+                return [], {}, failed
+        if kind is Compl:
+            values = list(map(operator.sub, repeat(1), x))
+        elif kind is Quot:
+            values = [_quotient(p, q) if q else 0 for p, q in zip(x, y)]
+            zeros = [p for p, q in enumerate(y) if not q]
+            for k in {x[p] for p in zeros}.difference(specials):
+                specials[k] = Infinite(k)
+            extended[slot] = {p: specials[x[p]] for p in zeros}
+        else:
+            values = list(map(_ARITHMETIC[kind], x, y))
+        held.append(values)
+        for s in (a, b):
+            left[s] -= 1
+            if not left[s]:
+                held[s] = None
+                extended.pop(s, None)
+    root = held[-1]
+    return root if type(root) is list else root(), extended.get(slot, {}), failed
 
 
 def _quotient(x, y):
@@ -422,15 +461,21 @@ def expand(e: Expr, syms=None) -> LinearForm:
     omitted, it is e's own symbols in first-occurrence order.
 
     The coefficient at each constituent is the pointwise evaluation of e
-    at that constituent's vertex; one pass over the tree evaluates all
-    2**n vertices at once, and equal coefficients are one object.
+    at that constituent's vertex; one pass takes each distinct subtree at
+    all 2**n vertices at once, and equal coefficients are one object.
     Evaluation failures (extended values feeding further arithmetic) are
     aggregated: the error's message names the first offending constituent
     and how many others fail, and its .constituents lists them all.
     """
-    named = free_symbols(e)
+    return _develop(_plan(e), syms)
+
+
+def _develop(plan: _Plan, syms=None) -> LinearForm:
+    """expand, on a tree already planned."""
+    named = plan.symbols
     order = check_symbol_list(named if syms is None else syms)
-    missing = [s for s in named if s not in order]
+    bits = {s: i for i, s in enumerate(order)}  # bit i of the mask is symbol i
+    missing = [s for s in named if s not in bits]
     if missing:
         raise SymbolNotPresent(
             f"symbols {[s.name for s in missing]} occur in the expression "
@@ -438,11 +483,11 @@ def expand(e: Expr, syms=None) -> LinearForm:
         )
     width = 1 << len(order)
 
-    def value(s: Symbol) -> list:
-        run = 1 << order.index(s)  # bit i of the mask is symbol i
-        return ([0] * run + [1] * run) * (width // (2 * run))
+    def column(s: Symbol) -> Callable[[], list]:
+        run = 1 << bits[s]
+        return lambda: ([0] * run + [1] * run) * (width // (2 * run))
 
-    values, extended, failed = _evaluate(e, width, value)
+    values, extended, failed = _evaluate(plan, width, column)
     if failed:
         bad = tuple(Constituent(order, m) for m in sorted(failed))
         raise UninterpretableNesting(

@@ -219,10 +219,6 @@ def free_symbols(e: Expr) -> tuple[Symbol, ...]:
     return tuple(dict.fromkeys(n.symbol for n in _postorder(e) if type(n) is Sym))
 
 
-def contains_quotient(e: Expr) -> bool:
-    return any(type(n) is Quot for n in _postorder(e))
-
-
 @dataclass(frozen=True)
 class Equation:
     """An ordered pair of expressions asserted equal."""

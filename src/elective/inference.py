@@ -19,7 +19,8 @@ premise does.
 
 Both steps are coefficientwise on the developed form of f: a and b are
 the coefficients at the two constituents that differ only in w.  Each
-public call develops its input once and works on that development; an
+public call walks its input once, for its symbols, its division check and
+its distinct subtrees, develops it once and works on that development; an
 elimination returns the residual's development, and the residual
 equation is rendered as an Expr only when it is read.
 """
@@ -34,14 +35,15 @@ from operator import mul
 from .algebra import (
     Constituent,
     LinearForm,
+    _develop,
     _layout,
+    _plan,
     _pointwise,
     _texts,
     _times,
     check_symbol_list,
     coeff_factor_text,
     constituents,
-    expand,
 )
 from .errors import (
     EmptyPremises,
@@ -53,11 +55,9 @@ from .errors import (
 from .expr import (
     Add,
     Equation,
-    Expr,
     Mul,
     Symbol,
     ZERO,
-    contains_quotient,
     symbols,
 )
 
@@ -149,11 +149,6 @@ class SolvedClass:
     __str__ = describe
 
 
-def _division_free(f: Expr, what: str) -> None:
-    if contains_quotient(f):
-        raise UninterpretableNesting(f"{what} must be division-free")
-
-
 def _split(form: LinearForm, s: Symbol):
     """Split a form at s into a = f[s:=1] and b = f[s:=0].
 
@@ -220,12 +215,12 @@ def eliminate(eq: Equation, drop: Symbol | str) -> EliminationResult:
     """Remove one symbol, drop (a name or a Symbol), from f = 0 via the
     residual f[1] * f[0] = 0."""
     (drop,) = symbols([drop])
-    syms = eq.free_symbols()
-    if drop not in syms:
+    plan = _plan(eq.homogeneous())
+    if drop not in plan.symbols:
         raise SymbolNotPresent(f"symbol {drop} does not occur in {eq}")
-    f = eq.homogeneous()
-    _division_free(f, "elimination input")
-    return EliminationResult(_eliminated(expand(f, syms), drop))
+    if plan.divides:
+        raise UninterpretableNesting("elimination input must be division-free")
+    return EliminationResult(_eliminated(_develop(plan), drop))
 
 
 def combine_premises(premises) -> Equation:
@@ -236,15 +231,19 @@ def combine_premises(premises) -> Equation:
     conjunction; squaring (rather than plain summing) prevents opposite
     signs from cancelling between premises.
     """
+    return _combined(premises)[0]
+
+
+def _combined(premises):
+    """combine_premises's equation, and the plan of its left side."""
     premises = list(premises)
     if not premises:
         raise EmptyPremises("at least one premise equation is required")
-    squares = []
-    for p in premises:
-        f = p.homogeneous()
-        _division_free(f, "premise")
-        squares.append(Mul(f, f))
-    return Equation(reduce(Add, squares), ZERO)
+    total = reduce(Add, (Mul(f, f) for f in (p.homogeneous() for p in premises)))
+    plan = _plan(total)
+    if plan.divides:
+        raise UninterpretableNesting("premise must be division-free")
+    return Equation(total, ZERO), plan
 
 
 def solve_for(eq: Equation, unknown: Symbol | str, syms=None) -> SolvedClass:
@@ -263,12 +262,12 @@ def solve_for(eq: Equation, unknown: Symbol | str, syms=None) -> SolvedClass:
     """
     (unknown,) = symbols([unknown])
     syms = None if syms is None else symbols(syms)  # bad names are refused first
-    all_syms = eq.free_symbols()
-    _check_unknown(unknown, all_syms, eq)
-    f = eq.homogeneous()
-    _division_free(f, "solver input")
+    plan = _plan(eq.homogeneous())
+    _check_unknown(unknown, plan.symbols, eq)
+    if plan.divides:
+        raise UninterpretableNesting("solver input must be division-free")
     if syms is None:
-        syms = [s for s in all_syms if s != unknown]
+        syms = [s for s in plan.symbols if s != unknown]
     # vacuous on that default, whose v-names _check_unknown has refused
     remaining = check_symbol_list(syms)
     if unknown in remaining:
@@ -277,7 +276,7 @@ def solve_for(eq: Equation, unknown: Symbol | str, syms=None) -> SolvedClass:
         )
     if any(s.is_reserved for s in remaining):
         raise NameCollision("requested symbol list uses reserved v-names")
-    return _solved(expand(f, remaining + (unknown,)), unknown)
+    return _solved(_develop(plan, remaining + (unknown,)), unknown)
 
 
 def syllogism(premises, drop=(), conclude_for: Symbol | str | None = None):
@@ -298,8 +297,8 @@ def syllogism(premises, drop=(), conclude_for: Symbol | str | None = None):
     drop = symbols(drop)
     if conclude_for is not None:
         (conclude_for,) = symbols([conclude_for])
-    eq = combine_premises(premises)
-    form = expand(eq.homogeneous())
+    eq, plan = _combined(premises)
+    form = _develop(plan)
     named = form.symbols
     where = eq  # a residual is named by its symbols: its text grows with 2**n
     for d in drop:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,6 @@ from elective import (
     ZERO,
     coeff_factor_text,
     constituents,
-    contains_quotient,
     eval_at,
     expand,
     format_expr,
@@ -133,6 +133,16 @@ def test_eval_nonfinite_feeding_operation_raises():
 def test_eval_missing_symbol():
     with pytest.raises(SymbolNotPresent):
         eval_at(X, {y: 1})
+
+
+def test_eval_at_meets_each_symbol_where_it_first_occurs():
+    # a symbol the vertex lacks is refused where it first occurs in the
+    # tree, so before a later k/0 operand, and after an earlier one
+    with pytest.raises(SymbolNotPresent, match="^vertex does not assign symbol q$"):
+        eval_at(parse_expression("q + (x/x')*y"), {x: 1, y: 1})
+    nested = "^1/0 cannot be an operand of a product"
+    with pytest.raises(UninterpretableNesting, match=nested):
+        eval_at(parse_expression("(x/x')*y + q"), {x: 1, y: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +341,11 @@ def _basis(n):
     return tuple(Symbol(f"s{i}") for i in range(n))
 
 
+def _ring(n):
+    """s0*s1' + s1*s2' + ... + s(n-1)*s0': no inner subtree repeats."""
+    return " + ".join(f"s{i}*s{(i + 1) % n}'" for i in range(n))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_display_order_follows_the_bit_reversal_rule(n):
     syms = _basis(n)
@@ -506,7 +521,7 @@ def test_expansion_soundness_random():
         for c, v in form.items():
             at_vertex = eval_at(e, c.vertex())
             assert v == at_vertex and type(v) is type(at_vertex)
-            if not contains_quotient(e):
+            if not algebra._plan(e).divides:
                 assert v == reference_value(e, c.vertex())
     assert failed_developments > 0
 
@@ -555,6 +570,87 @@ def test_expand_matches_an_independent_quotient_reference():
                 assert type(v) is Fraction and v == ref
                 kinds.add("integral" if v.denominator == 1 else "fractional")
     assert kinds == {"nested", "0/0", "k/0", "integral", "fractional"}
+
+
+def _planted_tree(rng):
+    """A random tree over a few subtrees, each reused as one object, as a
+    parsed copy, complemented or scaled by a constant; some trees carry a
+    quotient that fails wherever x = y."""
+    quotients = rng.random() < 0.6
+    pool = [random_expr(rng, XYZW, rng.randint(1, 4), quotients) for _ in range(3)]
+    if quotients:
+        pool.append(Quot(X, Sub(X, Y)))
+
+    def build(depth):
+        if depth and rng.random() < 0.7:
+            node = rng.choice([Add, Sub, Mul, Quot if quotients else Mul])
+            left = build(depth - 1)
+            return node(left, left if rng.random() < 0.25 else build(depth - 1))
+        f = rng.choice(pool)
+        return rng.choice([
+            f,
+            parse_expression(format_expr(f)),
+            Compl(f),
+            Mul(Const(rng.choice([2, -1, Fraction(1, 2)])), f),
+        ])
+
+    return build(rng.randint(1, 4))
+
+
+def test_planted_repeats_develop_like_the_reference():
+    # equal subtrees are developed once; values, their types, and a
+    # failure's message and constituents are those of each vertex alone
+    rng = random.Random(1847)
+    failed = 0
+    for _ in range(400):
+        e = _planted_tree(rng)
+        failures = _vertex_failures(e)
+        try:
+            form = expand(e, XYZW)
+        except UninterpretableNesting as err:
+            assert err.constituents == tuple(c for c, _ in failures)
+            assert str(err).startswith(f"development failed at {failures[0][0]}")
+            assert str(err).endswith(f": {failures[0][1]}")
+            failed += 1
+            continue
+        assert not failures
+        for c, v in form.items():
+            want = reference_value(e, c.vertex())
+            if want == ("0/0",):
+                assert v is INDETERMINATE
+            elif isinstance(want, tuple):
+                assert type(v) is Infinite and v.numerator == want[1]
+            else:
+                assert type(v) is Fraction and v == want
+    assert 0 < failed < 400
+
+
+def test_the_plan_takes_each_distinct_subtree_once():
+    f = parse_expression("x*y' + (z - x)*2")
+    for e in (Mul(f, f), Mul(parse_expression(format_expr(f)), f)):
+        plan = algebra._plan(e)
+        k = len(plan.nodes) - 2  # f's slot
+        assert plan.nodes == algebra._plan(f).nodes + [(Mul, k, k)]
+        assert plan.uses[-2:] == [2, 1]
+        assert plan.symbols == (x, y, z) and not plan.divides
+    assert algebra._plan(parse_expression("x/y'")).divides
+    ring = algebra._plan(parse_expression(_ring(16)))
+    leaves = (Sym, Const)
+    inner = [u for (kind, _, _), u in zip(ring.nodes, ring.uses) if kind not in leaves]
+    assert len(inner) == 3 * 16 - 1 and set(inner) == {1}
+
+
+def test_the_ring_develops_within_its_columns():
+    # inner values are dropped after their last use and a leaf's are made
+    # at each use, so the peak stays near five columns of 2**16 values
+    e = parse_expression(_ring(16))
+    tracemalloc.start()
+    try:
+        expand(e, _basis(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.2 * 8 * (1 << 16)
 
 
 def test_equal_coefficients_are_one_object():

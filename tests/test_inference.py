@@ -27,7 +27,6 @@ from elective import (
     ZERO,
     combine_premises,
     constituents,
-    contains_quotient,
     eliminate,
     expand,
     format_expr,
@@ -38,7 +37,7 @@ from elective import (
     symbols,
     verify_solved,
 )
-from elective import cli
+from elective import algebra, cli
 from elective.inference import _eliminated, _split
 from helpers import (
     XYZW,
@@ -622,7 +621,7 @@ def test_deep_sum_equation_needs_no_recursion():
         lhs = Add(lhs, Mul(Sym(x), Sym(w)))
     eq = Equation(lhs, Sym(y))
     assert eq.free_symbols() == (x, w, y)
-    assert not contains_quotient(eq.lhs)
+    assert not algebra._plan(eq.lhs).divides
     form = expand(eq.homogeneous(), (x, w, y))
     assert form.coeff(0b011) == 3000 and form.coeff(0b111) == 2999
     assert str(eliminate(eq, w).residual) == "(-2999)*x*y + x'*y = 0"

@@ -111,6 +111,6 @@ def test_syllogism_reads_its_symbols_before_developing(monkeypatch, drop, conclu
     def develop(*args):
         raise AssertionError("developed before the symbols were read")
 
-    monkeypatch.setattr(inference, "expand", develop)
+    monkeypatch.setattr(inference, "_develop", develop)
     with pytest.raises(ValueError, match="invalid symbol name"):
         syllogism(PREMISES, drop, conclude_for)
