@@ -40,7 +40,7 @@ from .expr import format_expr, free_symbols, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
-from .oracle import Universe, check_equation, verify_solved
+from .oracle import Universe, check_equation, plan_verification, verify_solved
 from .parsing import parse_equation, parse_expression
 
 @dataclass
@@ -108,6 +108,8 @@ def cmd_solve(args) -> OutputDocument:
     if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
         raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
+    if args.verify:  # an over-budget check is refused before solving
+        plan_verification(eq, args.unknown, args.symbols, args.max_universe)
     sol = solve_for(eq, args.unknown, args.symbols)
     report = verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0

@@ -20,10 +20,11 @@ type puts the element in the i-th symbol.  So an equation holds in a
 model exactly when it holds in the one-element model of each of its
 elements' types, and the exhaustive checks decide every universe of 1 to
 max_universe elements with one pass over the 2**k types of k symbols,
-at most _BLOCK points wide at a time; the symbols' columns are read off
-the points' types.  verify_solved runs the same pass over the unknown and
-the free symbols, so point 2t + c is type t with the unknown at c, and
-reads the solution's code for type t as bits 2t and 2t + 1 of one int:
+at most _BLOCK points wide at a time; point p is type p, so the symbols'
+columns are periodic bit patterns, made in closed form.  verify_solved
+runs the same pass over the unknown and the free symbols, so point
+2t + c is type t with the unknown at c, and reads the solution's code
+for type t as bits 2t and 2t + 1 of one int:
 a few operations on the pass's ints (broadword, as in Knuth, TAOCP 4A,
 7.1.3) give the candidates that are rejected and those not assembled.
 A SetAssignment (subsets as bitmasks) is built only for a model that is
@@ -39,12 +40,10 @@ original division-free equation instead.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
@@ -60,8 +59,7 @@ MAX_UNIVERSE = 8
 # host, a node evaluation takes 0.002 to 0.01 us in passes thousands of
 # points wide: verify_solved over 18 free symbols runs 24 million in 0.2 s.
 # A narrow pass costs about 1.5 to 2.5 us per node whatever its width, so
-# a plan over one or two symbols admits trees of millions of nodes, which
-# take about as long again to parse.
+# a plan over one or two symbols admits trees of millions of nodes.
 MAX_ORACLE_WORK = 25_000_000
 
 # Points that one pass of the evaluator covers, at most.
@@ -226,30 +224,8 @@ def _differ(sides: tuple, width: int, columns: Mapping[Symbol, int]) -> int:
     return reduce(operator.or_, _linear(Sub, lhs, rhs, (1 << width) - 1)[0], 0)
 
 
-# For each bit b of a byte, the text "0" or "1" of that bit of every byte.
-_BIT_TEXT = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
-
-
 # Each code 0..3 of a solution's reading as its base-4 digit.
 _DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
-
-
-def _packed(types: Iterable[int]) -> bytes:
-    """The types, 8 little-endian bytes each.  A type fits in 64 bits: a
-    plan over more symbols is refused on any universe with points."""
-    packed = array("Q", types)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def _columns(n: int, points: bytes) -> list[int]:
-    """Bits 0..n-1 of the packed types of the points, as n columns: bit p
-    of column i is bit i of the p-th type."""
-    return [
-        int(points[i >> 3 :: 8].translate(_BIT_TEXT[i & 7])[::-1] or b"0", 2)
-        for i in range(n)
-    ]
 
 
 def _assignment(syms: tuple[Symbol, ...], t: int) -> SetAssignment:
@@ -287,8 +263,23 @@ def _differences(sides: tuple, syms: tuple[Symbol, ...], points: int):
     is refused at any universe bound."""
     for start in range(0, max(points, 1), _BLOCK):
         run = range(start, min(start + _BLOCK, points))
-        columns = dict(zip(syms, _columns(len(syms), _packed(run))))
+        columns = {s: _column(i, run) for i, s in enumerate(syms)}
         yield run, _differ(sides, len(run), columns)
+
+
+def _column(i: int, run: range) -> int:
+    """Bit p is bit i of point run[p], in closed form (Knuth, TAOCP 4A,
+    7.1.3): 0 then 1 on the halves of each period of 2**(i+1) points, one
+    edge at most when a half spans the run, else repeated from its phase."""
+    half, full = 1 << i, (1 << len(run)) - 1
+    if half >= len(run):
+        low = (1 << min(half - (run.start & half - 1), len(run))) - 1
+        return low if run.start >> i & 1 else full ^ low
+    period = 2 * half
+    phase = run.start & period - 1
+    bits = -(-(phase + len(run)) // period) * period
+    ones = ((1 << bits) - 1) // ((1 << period) - 1) * ((1 << half) - 1 << half)
+    return ones >> phase & full
 
 
 @dataclass(frozen=True)
@@ -406,6 +397,14 @@ def verify_solved(
         tuple(evaluated),
         tuple(comb(m + types - 1, m) - n for m, n in zip(sizes, evaluated)),
     )
+
+
+def plan_verification(eq: Equation, unknown, syms=None, max_universe: int = 4) -> None:
+    """Refuse, with UniverseLimitExceeded and before anything is solved, the
+    check that verify_solved would plan for solve_for(eq, unknown, syms)."""
+    (unknown,) = symbols([unknown])
+    free = eq.free_symbols() if syms is None else symbols(syms)
+    _plan(_flatten(eq), (unknown, *(s for s in free if s != unknown)), max_universe)
 
 
 def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment | None:

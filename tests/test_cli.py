@@ -555,6 +555,19 @@ def test_oracle_work_budget_refusal_names_the_count(capsys):
     assert "39,845,888 node evaluations" in err
 
 
+@pytest.mark.parametrize("symbols", [None, "x," + ",".join(f"s{i}" for i in range(1, 19))])
+def test_oracle_work_budget_is_refused_before_solving(capsys, monkeypatch, symbols):
+    # the oracle's count, from the equation and the symbols alone, refuses
+    # the plan before solve_for develops anything at 20 symbols
+    entered = []
+    monkeypatch.setattr(cli, "solve_for", lambda *args: entered.append(args))
+    text = "x*w = " + "*".join(f"s{i}" for i in range(1, 19))
+    argv = ["solve", text, "--for", "w", "--verify", "--max-universe", "8"]
+    code, out, err = invoke(capsys, *argv, *(["--symbols", symbols] if symbols else []))
+    assert (code, out, entered) == (2, "", [])
+    assert "39,845,888 node evaluations" in err
+
+
 def test_solve_verify_three_free_symbols_at_the_universe_cap(capsys):
     code, out, _ = invoke(
         capsys, "solve", "x*w = y*z", "--for", "w", "--verify", "--max-universe", "8"

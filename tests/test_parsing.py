@@ -1,6 +1,7 @@
 """Grammar, precedence, error offsets, round-trips, and fuzzing."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from elective import (
     parse_equation,
     parse_expression,
 )
+from elective.expr import _postorder
 from helpers import XYZW, random_expr, run_elective
 
 x, y, z, w = XYZW
@@ -242,3 +244,99 @@ def test_fuzz_bytes_seeded():
             parse_expression(s)
         except ParseError as err:
             assert 0 <= err.offset <= len(s)
+
+
+_BAD = "a number, symbol, operator or parenthesis"
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "parse, text, offset, expected, found",
+    [
+        # '_' starts no token, and follows digits only inside a name
+        (parse_expression, "_x", 0, _BAD, "'_'"),
+        (parse_expression, "x + 2_", 5, _BAD, "'_'"),
+        (parse_expression, "x_ + 12_y", 7, _BAD, "'_'"),
+        # letters are lowercase ASCII, digits ASCII
+        (parse_expression, "x + Y", 4, _BAD, "'Y'"),
+        (parse_expression, "xY", 1, _BAD, "'Y'"),
+        (parse_expression, "x*é", 2, _BAD, "'é'"),
+        (parse_expression, "x*٣", 2, _BAD, "'٣'"),
+        # a bad character anywhere is reported before a grammar error
+        (parse_expression, "x * * y_ 3_", 10, _BAD, "'_'"),
+        (parse_equation, "x = = Q", 6, _BAD, "'Q'"),
+        (parse_expression, "(" * 50 + "x = é", 54, _BAD, "'é'"),
+        # a literal over the int-to-text limit, and one after a grammar error
+        (
+            parse_expression,
+            "x*" + "7" * (_LIMIT + 1),
+            2,
+            f"a number of at most {_LIMIT} digits",
+            f"{_LIMIT + 1} digits",
+        ),
+        (parse_expression, "* " + "7" * (_LIMIT + 1), 0, _OPERAND, "*"),
+        # unbalanced parentheses
+        (parse_expression, "((x)", 4, "')'", _EOF),
+        (parse_expression, "(x))", 3, _EOF, ")"),
+        (parse_equation, "x) = y", 1, "'='", ")"),
+        (parse_equation, "x = (y", 6, "')'", _EOF),
+        # '=' inside parse_expression, in parentheses
+        (parse_expression, "(x = y)", 3, "')'", "="),
+        # a leading minus only opens an expression, a parenthesis or a side
+        (parse_equation, "x = --y", 5, _OPERAND, "-"),
+        (parse_expression, "x + (- - y)", 7, _OPERAND, "-"),
+        (parse_expression, "x*-y", 2, _OPERAND, "-"),
+    ],
+)
+def test_parse_error_edges_seeded(parse, text, offset, expected, found):
+    # each input also with seeded whitespace, ASCII or not, on both sides:
+    # the offset moves with the prefix, or is the end of the padded input
+    rng = random.Random(f"{text}:{offset}")
+    pad = ["", " \t", "\u00a0", "\u3000 ", "\n\u2003"]
+    for _ in range(8):
+        before, after = (rng.choice(pad) * rng.randrange(3) for _ in range(2))
+        padded = before + text + after
+        with pytest.raises(ParseError) as info:
+            parse(padded)
+        err = info.value
+        want = len(padded) if found == _EOF else offset + len(before)
+        assert (err.offset, err.expected, err.found) == (want, expected, found)
+
+
+@pytest.mark.parametrize(
+    "parse, text, tree",
+    [
+        (parse_expression, "x_*y2_", Mul(Sym("x_"), Sym("y2_"))),
+        (parse_expression, "2x_", Mul(Const(2), Sym("x_"))),
+        (parse_expression, "x\u00a0+\u2003y", Add(X, Y)),  # non-ASCII whitespace
+        (parse_expression, "(-x)*y", Mul(Sub(ZERO, X), Y)),
+        (parse_expression, "x*(-y + 1)", Mul(X, Add(Sub(ZERO, Y), ONE))),
+        (parse_expression, "(-2)", Const(-2)),
+        (parse_equation, "x = -y", Equation(X, Sub(ZERO, Y))),
+        (parse_equation, "-x = -2*y", Equation(Sub(ZERO, X), Sub(ZERO, Mul(Const(2), Y)))),
+        (parse_equation, "x = (-y)'", Equation(X, Compl(Sub(ZERO, Y)))),
+    ],
+)
+def test_parse_edges_that_are_valid(parse, text, tree):
+    assert parse(text) == tree
+
+
+def test_each_distinct_leaf_is_built_once(monkeypatch):
+    # a name used k times is one Symbol and one Sym node, shared by every
+    # occurrence; a literal used k times is one Const node
+    import elective.parsing
+
+    built = []
+
+    def counted(name):
+        built.append(name)
+        return Symbol(name)
+
+    monkeypatch.setattr(elective.parsing, "Symbol", counted)
+    k = 7
+    e = parse_expression(" + ".join(["2*x*y'"] * k))
+    assert sorted(built) == ["x", "y"]
+    leaves = [n for n in _postorder(e) if type(n) in (Sym, Const)]
+    assert len(leaves) == 3 * k
+    assert len({id(n) for n in leaves}) == 3
+    assert e == parse_expression(" + ".join(["2*x*y'"] * k))
