@@ -130,13 +130,6 @@ class Constituent:
     def __hash__(self) -> int:
         return hash(self.mask)
 
-    def vertex(self) -> dict[Symbol, int]:
-        """The 0/1 point at which this constituent's factor product is 1."""
-        return {s: self.mask >> i & 1 for i, s in enumerate(self.symbols)}
-
-    def to_expr(self) -> Expr:
-        return _product(_literals(self.symbols), self.mask)
-
     def __str__(self) -> str:
         """The product of its factors; over no symbols, 1 (the universe)."""
         m, syms = self.mask, self.symbols

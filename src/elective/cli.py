@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +32,10 @@ from .algebra import (
     Infinite,
     LinearForm,
     coeff_factor_text,
-    constituents,
-    eval_at,
     expand,
 )
-from .errors import ElectiveError, ParseError, SymbolLimitExceeded
-from .expr import format_expr, free_symbols, symbols
+from .errors import ElectiveError, ParseError
+from .expr import format_expr, symbols
 from .inference import SolvedClass, eliminate, solve_for, syllogism
 from .nyaya import negation_table
 from .modern import analyze
@@ -174,25 +173,17 @@ def cmd_syllogism(args) -> OutputDocument:
     return OutputDocument(payload)
 
 
-def _indicates_its_vertex(c, syms) -> bool:
-    product = c.to_expr()
-    return free_symbols(product) == syms and eval_at(product, c.vertex()) == 1
-
-
 def cmd_partition(args) -> OutputDocument:
-    syms = symbols(args.symbols)
-    if len(syms) > 15:  # its check builds a product per constituent: 5 s at 15
-        raise SymbolLimitExceeded(f"partition's cap is 15 symbols, not {len(syms)}")
-    items = constituents(syms)
-    # Products of literals naming every symbol, each 1 at its own one of the
-    # 2**n vertices, are those vertices' indicators, so they sum to 1.
-    masks = set(range(1 << len(syms)))
-    sum_is_one = (
-        len(items) == len(masks)
-        and {c.mask for c in items} == masks
-        and all(_indicates_its_vertex(c, syms) for c in items)
+    form = LinearForm.constant(args.symbols, 1)
+    syms = form.symbols
+    names = [t for t, _ in form.display_items()]
+    # A product naming every symbol once, plain or primed, is 1 at its own
+    # one of the 2**n vertices; 2**n distinct ones are the indicators of
+    # all the vertices, so together they sum to 1.
+    product = re.compile("[*]".join(f"{s.name}'?" for s in syms) or "1")
+    sum_is_one = len(names) == len(set(names)) == 1 << len(syms) and all(
+        map(product.fullmatch, names)
     )
-    names = [t for t, _ in LinearForm.constant(syms, 1).display_items()]
     exit_code = 0 if sum_is_one else 2
     if args.json:
         payload = {

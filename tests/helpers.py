@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -114,10 +115,29 @@ def random_interpretable_expr(
     picked = [c for c in constituents(syms) if rng.random() < 0.5]
     if not picked:
         return Const(0)
-    out: Expr = picked[0].to_expr()
+    out = constituent_product(picked[0])
     for c in picked[1:]:
-        out = Add(out, c.to_expr())
+        out = Add(out, constituent_product(c))
     return out
+
+
+def _literals(c: Constituent) -> list[Expr]:
+    """c's factors from fresh nodes, in symbol order: s where its bit is
+    set, s' where it is clear."""
+    return [
+        Sym(s) if c.mask >> i & 1 else Compl(Sym(s)) for i, s in enumerate(c.symbols)
+    ]
+
+
+def constituent_product(c: Constituent) -> Expr:
+    """c's product of literals, left-nested; over no symbols, 1."""
+    factors = _literals(c)
+    return reduce(Mul, factors) if factors else Const(1)
+
+
+def vertex(c: Constituent) -> dict[Symbol, int]:
+    """The 0/1 point at which c's product of literals is 1."""
+    return {s: c.mask >> i & 1 for i, s in enumerate(c.symbols)}
 
 
 def reference_display_order(items):
@@ -142,10 +162,7 @@ def naive_to_expr(form) -> Expr:
         v = form.coeff(c)
         if v == 0:
             continue
-        factors = [
-            Sym(s) if c.mask >> i & 1 else Compl(Sym(s))
-            for i, s in enumerate(c.symbols)
-        ]
+        factors = _literals(c)
         if v != 1:
             factors.insert(0, Const(v))
         term = factors[0]

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from elective import (
-    Constituent,
     ElectiveError,
     EliminationResult,
     Equation,
@@ -166,24 +165,28 @@ def test_partition_above_eight_symbols(capsys, n):
 
 
 def _drop_last_factor(monkeypatch):
-    # x*y*z becomes x*y: still 1 at its own vertex, but it no longer
-    # names z, so the products sum to 2 rather than 1
-    build = Constituent.to_expr
+    # the first text loses its last factor, s0*s1*s2 becoming s0*s1: that
+    # product no longer names every symbol, so the texts sum to 2, not 1
+    listed = LinearForm.display_items
 
-    def to_expr(self):
-        return build(Constituent(self.symbols[:-1], self.mask))
+    def dropped(self):
+        (text, v), *rest = listed(self)
+        return iter([(text.rpartition("*")[0], v), *rest])
 
-    monkeypatch.setattr(Constituent, "to_expr", to_expr)
+    monkeypatch.setattr(LinearForm, "display_items", dropped)
 
 
 def _duplicate_a_mask(monkeypatch):
-    # mask 0 listed twice, in place of mask 1: every product is still sound
-    def duplicated(syms):
-        cs = list(constituents(syms))
-        cs[1] = cs[0]
-        return tuple(cs)
+    # the first text listed twice, in place of the second: every text is
+    # still a product of all the symbols, but one vertex is missed
+    listed = LinearForm.display_items
 
-    monkeypatch.setattr(cli, "constituents", duplicated)
+    def duplicated(self):
+        items = list(listed(self))
+        items[1] = items[0]
+        return iter(items)
+
+    monkeypatch.setattr(LinearForm, "display_items", duplicated)
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -198,18 +201,12 @@ def test_partition_reports_a_planted_defect(capsys, monkeypatch, plant, n):
     assert (code, json.loads(out)["sum_is_one"]) == (2, False)
 
 
-def test_partition_refuses_16_symbols_before_building_anything(capsys, monkeypatch):
-    # one product per constituent is built and checked, so partition has its
-    # own cap, below the basis cap of 20
-    def refuse(syms):
-        raise AssertionError("constituents built above partition's cap")
-
-    monkeypatch.setattr(cli, "constituents", refuse)
+def test_partition_takes_the_basis_cap(capsys):
+    # the check reads the texts it lists, so partition has no cap of its own
     names = ",".join(f"s{i}" for i in range(16))
-    for extra in ((), ("--json",)):
-        code, out, err = invoke(capsys, "partition", "--symbols", names, *extra)
-        assert (code, out) == (2, "")
-        assert err == "error: partition's cap is 15 symbols, not 16\n"
+    code, out, _ = invoke(capsys, "partition", "--symbols", names)
+    lines = out.splitlines()
+    assert (code, len(lines), lines[-1]) == (0, (1 << 16) + 1, "sum = 1: OK")
 
 
 def test_partition_symbol_cap(capsys):
@@ -354,23 +351,11 @@ def test_cli_takes_only_public_names_from_the_package():
         ):
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, f"cli imports {private} from {node.module}"
-    # Developed forms are written from display_items(), never rebuilt as an
-    # Expr: the one expression the CLI builds is the product of a single
-    # constituent, in partition's per-product check.
-    reads = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("residual", "to_expr")
-    ]
-    (check,) = [
-        f
-        for f in tree.body
-        if isinstance(f, ast.FunctionDef) and f.name == "_indicates_its_vertex"
-    ]
-    assert [n.attr for n in reads] == ["to_expr"]
-    assert reads[0] in list(ast.walk(check))
-    # offending constituents are written from offending_items(), by mask
+    # Developed forms, an elimination's residual among them, are written
+    # from display_items() and never rebuilt as an Expr; offending
+    # constituents are written from offending_items(), by mask
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & {"residual", "to_expr"}
     assert not attrs & {"offending", "interpretability_conditions"}
     assert "offending_items" in attrs
 

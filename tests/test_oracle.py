@@ -22,6 +22,7 @@ from elective import (
     Quot,
     QuotientInOracle,
     SetAssignment,
+    SolvedClass,
     Sub,
     Sym,
     Symbol,
@@ -497,10 +498,13 @@ def test_check_equation_matches_naive():
 
 def test_work_above_the_budget_is_refused_up_front(monkeypatch):
     # nineteen free symbols: 2**20 points x 38 nodes; nineteen symbols
-    # without an unknown: 2**19 points x 74 nodes; refused before any pass
-    product_text = "*".join(f"s{i}" for i in range(1, 19))
+    # without an unknown: 2**19 points x 74 nodes; refused before any pass,
+    # so the solution's groups are never read and may be empty
+    factors = tuple(Symbol(f"s{i}") for i in range(1, 19))
+    product_text = "*".join(s.name for s in factors)
     eq = parse_equation(f"x*w = {product_text}")
-    sol = solve_for(eq, w)
+    empty = frozenset()
+    sol = SolvedClass(w, (x, *factors), empty, (), empty, empty)
     widths = _recorded_widths(monkeypatch)
     with pytest.raises(UniverseLimitExceeded, match="39,845,888"):
         verify_solved(sol, eq, 1)
