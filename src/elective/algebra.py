@@ -8,9 +8,10 @@ to 1, so every expression develops uniquely into
     f  =  sum over constituents C of  f(vertex of C) * C
 
 where the vertex of C assigns 1 to each plain factor and 0 to each
-complemented one.  This module computes that development by evaluating
-each distinct subtree once at all 2**n vertices together, so the index
-law (x**n = x), distributivity and commutativity hold by construction.
+complemented one.  This module computes that development from expr's
+plan of the tree, which the oracle evaluates too: each distinct subtree
+is taken once at all 2**n vertices together, so the index law
+(x**n = x), distributivity and commutativity hold by construction.
 
 Coefficients are exact rationals (fractions.Fraction).  Inside the pass
 values stay ints wherever they are integral, exact quotients included;
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, partialmethod
 from itertools import compress, count, repeat
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     InvalidSymbolList,
@@ -54,7 +55,8 @@ from .expr import (
     Sym,
     Symbol,
     ZERO,
-    _postorder,
+    _Plan,
+    _plan,
     symbols,
 )
 
@@ -225,45 +227,6 @@ _CONTEXTS = {
     Quot: ("quotient numerator", "quotient denominator"),
 }
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-class _Plan(NamedTuple):
-    """A tree as its distinct subtrees, in first-occurrence order (_plan)."""
-
-    nodes: list[tuple]  # (type, symbol or value, None) or (type, operand slots)
-    uses: list[int]  # the distinct nodes taking each slot as an operand; 1 at the root
-    symbols: tuple[Symbol, ...]  # in first-occurrence order, as free_symbols gives them
-    divides: bool  # whether a quotient occurs
-
-
-def _plan(e: Expr) -> _Plan:
-    """e's distinct subtrees from one post-order walk.  A leaf's key is its
-    type and symbol or value, an inner node's its type and operand slots (a
-    complement's one slot twice), so equal subtrees share a slot."""
-    slots: dict = {}
-    nodes: list[tuple] = []
-    operands: list[int] = []  # the slots of the operands still to be taken
-    for node in _postorder(e):
-        kind = type(node)
-        if kind is Sym:
-            entry, key = (kind, node.symbol, None), node.symbol.name
-        elif kind is Const:
-            v = node.value
-            entry = key = (kind, v.numerator if v.denominator == 1 else v, None)
-        else:
-            b = operands.pop()
-            entry = key = (kind, b, b) if kind is Compl else (kind, operands.pop(), b)
-        slot = slots.setdefault(key, len(nodes))
-        if slot == len(nodes):
-            nodes.append(entry)
-        operands.append(slot)
-    uses = [0] * (len(nodes) - 1) + [1]
-    for kind, a, b in nodes:
-        if kind is not Sym and kind is not Const:
-            uses[a] += 1
-            uses[b] += 1
-    named = tuple(a for kind, a, _ in nodes if kind is Sym)
-    return _Plan(nodes, uses, named, any(kind is Quot for kind, _, _ in nodes))
 
 
 def _evaluate(plan: _Plan, width: int, column) -> tuple[list, dict, dict]:

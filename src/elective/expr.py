@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 SYMBOL_PATTERN = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -201,6 +201,53 @@ def _postorder(e: Expr) -> Iterator[Expr]:
         elif isinstance(node, _Binary):
             stack += (node.left, node.right)
     return reversed(order)
+
+
+class _Plan(NamedTuple):
+    """A tree's distinct subtrees in first-occurrence order, without values."""
+
+    nodes: list[tuple]  # (type, symbol or value, None) or (type, operand slots)
+    uses: list[int]  # the distinct nodes taking each slot as an operand; 1 at the root
+    symbols: tuple[Symbol, ...]  # in first-occurrence order, as free_symbols gives them
+    divides: bool  # whether a quotient occurs
+
+
+def _plan(e: Expr) -> _Plan:
+    """e's distinct subtrees from one post-order walk, for the development
+    and the oracle alike.  A leaf's key is its type and symbol or value, an
+    inner node's its type and operand slots (a complement's one slot
+    twice), so equal subtrees share a slot; a slot's uses of its operands,
+    symbol and quotient are counted as it is made."""
+    slots: dict = {}
+    nodes: list[tuple] = []
+    uses: list[int] = []
+    named: list[Symbol] = []
+    divides = False
+    operands: list[int] = []  # the slots of the operands still to be taken
+    for node in _postorder(e):
+        kind = type(node)
+        if kind is Sym:
+            entry, key = (kind, node.symbol, None), node.symbol.name
+        elif kind is Const:
+            v = node.value
+            entry = key = (kind, v.numerator if v.denominator == 1 else v, None)
+        else:
+            b = operands.pop()
+            a = b if kind is Compl else operands.pop()
+            entry = key = (kind, a, b)
+        slot = slots.setdefault(key, len(nodes))
+        if slot == len(nodes):
+            nodes.append(entry)
+            uses.append(0)
+            if kind is Sym:
+                named.append(node.symbol)
+            elif kind is not Const:
+                uses[a] += 1
+                uses[b] += 1
+                divides |= kind is Quot
+        operands.append(slot)
+    uses[-1] = 1  # the root, made last: no proper subtree equals it
+    return _Plan(nodes, uses, tuple(named), divides)
 
 
 def _shape(e: Expr) -> list[tuple]:

@@ -37,7 +37,6 @@ from .algebra import (
     LinearForm,
     _develop,
     _layout,
-    _plan,
     _pointwise,
     _texts,
     _times,
@@ -58,6 +57,7 @@ from .expr import (
     Mul,
     Symbol,
     ZERO,
+    _plan,
     symbols,
 )
 

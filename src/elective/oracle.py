@@ -7,12 +7,12 @@ the algebra module's development code: the two meet only in tests, where
 the developed coefficient at a constituent must match the numeric value
 on that constituent's region.
 
-One evaluator serves both checks.  It walks a tree flattened once
-into post-order, and each node holds its values at a whole row of points
-at once, bit-sliced: a symbol's column is one int, and a node's value is
-its numerator as two's-complement bit planes, with bounds taken from the
-tree, over one static denominator, so fractions stay exact.  The sides
-differ where the planes of their difference have a bit set.
+One evaluator serves both checks.  It walks expr's plan of lhs - rhs,
+each distinct subtree once, and each node holds its values at a row of
+points at once, bit-sliced: a symbol's column is one int, and a node's
+value is its numerator as two's-complement bit planes, with bounds taken
+from the tree, over one static denominator, so fractions stay exact.
+The sides differ where the root's planes have a bit set.
 
 Boole's elective symbols act on each element separately: the value of a
 tree at an element depends only on the element's type, where bit i of a
@@ -28,9 +28,10 @@ for type t as bits 2t and 2t + 1 of one int:
 a few operations on the pass's ints (broadword, as in Knuth, TAOCP 4A,
 7.1.3) give the candidates that are rejected and those not assembled.
 A SetAssignment (subsets as bitmasks) is built only for a model that is
-reported.  Before evaluating, a check counts its work (points x tree
-nodes) and refuses with UniverseLimitExceeded above MAX_ORACLE_WORK;
-that count is exactly the work run, short of a stop at a failure.
+reported.  Before evaluating, a check counts its work (points x the
+distinct nodes of both sides) and refuses with UniverseLimitExceeded
+above MAX_ORACLE_WORK; that count is exactly the work run, short of a
+stop at a failure.
 
 Quotients are refused here.  Formal division has no pointwise set
 meaning; solutions produced by formal division are checked against the
@@ -47,19 +48,20 @@ from typing import Mapping
 
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
-from .expr import Add, Compl, Const, Equation, Expr, Mul, Quot, Sub, Sym, Symbol
-from .expr import _postorder, symbols
+from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Sym, Symbol
+from .expr import _Plan, _plan, symbols
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
 
 # Node evaluations that one exhaustive check may plan: points (the 2**k
-# types of its k symbols, an unknown among them) x tree nodes; a plan
-# above it is refused before anything runs.  Measured on a 2-vCPU x86-64
-# host, a node evaluation takes 0.002 to 0.01 us in passes thousands of
-# points wide: verify_solved over 18 free symbols runs 24 million in 0.2 s.
-# A narrow pass costs about 1.5 to 2.5 us per node whatever its width, so
-# a plan over one or two symbols admits trees of millions of nodes.
+# types of its k symbols, an unknown among them) x the distinct nodes of
+# both sides; a plan above it is refused before anything runs.  Measured
+# on a 2-vCPU x86-64 host, a node evaluation takes 0.002 to 0.01 us in
+# passes thousands of points wide: verify_solved over 18 free symbols
+# runs 24 million in 0.2 s.  A narrow pass costs about 1.5 to 2.5 us per
+# node whatever its width, so a plan over one or two symbols admits
+# millions of distinct nodes.
 MAX_ORACLE_WORK = 25_000_000
 
 # Points that one pass of the evaluator covers, at most.
@@ -104,11 +106,6 @@ class SetAssignment:
             members = [str(e) for e in range(self.universe.size) if mask >> e & 1]
             parts.append(f"{s} = {{{', '.join(members)}}}")
         return "; ".join(parts)
-
-
-def _flatten(eq: Equation) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
-    """Both sides of eq in post-order, walked once for every evaluation."""
-    return tuple(_postorder(eq.lhs)), tuple(_postorder(eq.rhs))
 
 
 def _width(lo: int, hi: int) -> int:
@@ -179,49 +176,44 @@ def _linear(kind: type, x: tuple, y: tuple, full: int) -> tuple:
     return _sum(_extend(xp, width), _extend(yp, width), carry), lo, hi, den
 
 
-def _evaluate(programs: tuple, width: int, columns: Mapping[Symbol, int]) -> list:
-    """Each post-order program's row at `width` points, in one pass apiece.
-
-    Bit p of columns[s] is symbol s's value at point p.  A row is (planes,
-    lo, hi, den): at point p its value is n/den, where n, from lo to hi,
-    is read in two's complement from bit p of each plane, the last plane
-    the sign.  A symbol missing from columns, or a quotient, raises where
-    a walk of the tree first meets it.
-    """
+def _evaluate(plan: _Plan, width: int, columns: Mapping[Symbol, int]) -> tuple:
+    """The planned tree's row at `width` points, each distinct subtree
+    taken once and its row dropped after its last use.  Bit p of
+    columns[s] is symbol s's value at point p.  A row is (planes, lo, hi,
+    den): at point p its value is n/den, where n, from lo to hi, is read
+    in two's complement from bit p of each plane, the last plane the sign.
+    A symbol missing from columns, or a quotient, raises at its slot,
+    which is where a walk of the tree first meets it."""
     full = (1 << width) - 1
-    results = []
-    for program in programs:
-        stack: list = []
-        for node in program:
-            kind = type(node)
-            if kind is Sym:
-                if node.symbol not in columns:
-                    message = f"assignment does not cover symbol {node.symbol}"
-                    raise SymbolNotPresent(message)
-                stack.append(([columns[node.symbol], 0], 0, 1, 1))
-            elif kind is Const:
-                v = node.value
-                stack.append(_constant(v.numerator, v.denominator, full))
-            elif kind is Compl:
-                x = stack.pop()
-                stack.append(_linear(Sub, _constant(x[3], x[3], full), x, full))
-            elif kind is Quot:
-                raise QuotientInOracle("formal division has no pointwise set meaning")
+    rows: list = []
+    left = plan.uses.copy()
+    for kind, a, b in plan.nodes:
+        if kind is Sym:
+            if a not in columns:
+                raise SymbolNotPresent(f"assignment does not cover symbol {a}")
+            rows.append(([columns[a], 0], 0, 1, 1))
+        elif kind is Const:
+            rows.append(_constant(a.numerator, a.denominator, full))
+        elif kind is Quot:
+            raise QuotientInOracle("formal division has no pointwise set meaning")
+        else:
+            x, y = rows[a], rows[b]
+            if kind is Compl:
+                rows.append(_linear(Sub, _constant(x[3], x[3], full), x, full))
+            elif kind is Mul:
+                rows.append(_product(x, y, full))
             else:
-                right = stack.pop()
-                if kind is Mul:
-                    stack.append(_product(stack.pop(), right, full))
-                else:
-                    stack.append(_linear(kind, stack.pop(), right, full))
-        results.append(stack[0])
-    return results
+                rows.append(_linear(kind, x, y, full))
+            for s in (a, b):
+                left[s] -= 1
+                if not left[s]:
+                    rows[s] = None
+    return rows[-1]
 
 
-def _differ(sides: tuple, width: int, columns: Mapping[Symbol, int]) -> int:
-    """The points, as a bitmask, where the two sides differ: the OR of the
-    planes of lhs*Dr - rhs*Dl."""
-    lhs, rhs = _evaluate(sides, width, columns)
-    return reduce(operator.or_, _linear(Sub, lhs, rhs, (1 << width) - 1)[0], 0)
+def _differ(plan: _Plan, width: int, columns: Mapping[Symbol, int]) -> int:
+    """The points, as a bitmask, where the sides differ: the root's planes ORed."""
+    return reduce(operator.or_, _evaluate(plan, width, columns)[0], 0)
 
 
 # Each code 0..3 of a solution's reading as its base-4 digit.
@@ -234,18 +226,14 @@ def _assignment(syms: tuple[Symbol, ...], t: int) -> SetAssignment:
     return SetAssignment(Universe(1), {s: t >> i & 1 for i, s in enumerate(syms)})
 
 
-def _plan(
-    sides: tuple[tuple[Expr, ...], ...], syms: tuple[Symbol, ...], max_universe: int
-) -> int:
+def _points(plan: _Plan, syms: tuple[Symbol, ...], max_universe: int) -> int:
     """The points of an exhaustive check on universes up to max_universe:
-    the 2**k types of syms, and none when max_universe is 0.
-
-    Refuses up front, before any evaluation, when max_universe is out of
-    range or when the planned work (points x nodes of both sides) exceeds
-    MAX_ORACLE_WORK.
-    """
+    the 2**k types of syms, and none when max_universe is 0.  Refuses up
+    front, before any evaluation, when max_universe is out of range or
+    when the planned work (points x the distinct nodes of both sides)
+    exceeds MAX_ORACLE_WORK."""
     points = 1 << len(syms) if Universe(max_universe).size else 0
-    work = points * sum(map(len, sides))
+    work = points * (len(plan.nodes) - 1)
     if work > MAX_ORACLE_WORK:
         raise UniverseLimitExceeded(
             f"exhaustive check over {len(syms)} symbols on universes up to "
@@ -255,16 +243,16 @@ def _plan(
     return points
 
 
-def _differences(sides: tuple, syms: tuple[Symbol, ...], points: int):
+def _differences(plan: _Plan, syms: tuple[Symbol, ...], points: int):
     """Each run of the points 0..points-1, at most _BLOCK of them in
     ascending order, with the bitmask of its points where the sides differ:
     bit i of point p is the value of syms[i].  With no points, one empty
-    run: every check walks both trees, so a missing symbol or a quotient
+    run: every check walks the plan, so a missing symbol or a quotient
     is refused at any universe bound."""
     for start in range(0, max(points, 1), _BLOCK):
         run = range(start, min(start + _BLOCK, points))
         columns = {s: _column(i, run) for i, s in enumerate(syms)}
-        yield run, _differ(sides, len(run), columns)
+        yield run, _differ(plan, len(run), columns)
 
 
 def _column(i: int, run: range) -> int:
@@ -356,9 +344,9 @@ def verify_solved(
     before completeness, with the smaller failing candidate as witness.
     The report counts the models of each size that the verdict covers.
     """
-    sides, syms = _flatten(eq), sol.free_symbols
-    points = _plan(sides, (sol.unknown, *syms), max_universe)
-    extras = [s for s in eq.free_symbols() if s != sol.unknown and s not in syms]
+    plan, syms = _plan(Sub(eq.lhs, eq.rhs)), sol.free_symbols
+    points = _points(plan, (sol.unknown, *syms), max_universe)
+    extras = [s for s in plan.symbols if s != sol.unknown and s not in syms]
     if extras:
         raise SymbolNotPresent(
             f"equation symbols {[s.name for s in extras]} are not covered "
@@ -369,7 +357,7 @@ def verify_solved(
     # lacks, an excluded one that it holds, and every side-condition one)
     rejected = int(reading[::-1].translate(_DIGITS), 4)
     first: dict[str, int] = {}  # each kind's lowest failing point
-    for run, differ in _differences(sides, (sol.unknown, *syms), points):
+    for run, differ in _differences(plan, (sol.unknown, *syms), points):
         misfit = rejected >> run.start & (1 << len(run)) - 1
         for kind, bits in zip(_NOTES, (differ & ~misfit, misfit & ~differ)):
             if bits and kind not in first:
@@ -403,8 +391,9 @@ def plan_verification(eq: Equation, unknown, syms=None, max_universe: int = 4) -
     """Refuse, with UniverseLimitExceeded and before anything is solved, the
     check that verify_solved would plan for solve_for(eq, unknown, syms)."""
     (unknown,) = symbols([unknown])
-    free = eq.free_symbols() if syms is None else symbols(syms)
-    _plan(_flatten(eq), (unknown, *(s for s in free if s != unknown)), max_universe)
+    plan = _plan(Sub(eq.lhs, eq.rhs))
+    free = plan.symbols if syms is None else symbols(syms)
+    _points(plan, (unknown, *(s for s in free if s != unknown)), max_universe)
 
 
 def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment | None:
@@ -415,8 +404,8 @@ def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment |
     elements, so the first failing model is the one-element model of the
     lowest type where the sides differ, and none fails if no type does.
     """
-    sides, syms = _flatten(eq), symbols(syms)
-    for run, differ in _differences(sides, syms, _plan(sides, syms, max_universe)):
+    plan, syms = _plan(Sub(eq.lhs, eq.rhs)), symbols(syms)
+    for run, differ in _differences(plan, syms, _points(plan, syms, max_universe)):
         if differ:
             return _assignment(syms, run.start + (differ & -differ).bit_length() - 1)
     return None

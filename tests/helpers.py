@@ -27,6 +27,8 @@ from elective import (
     Symbol,
     Universe,
     constituents,
+    format_expr,
+    parse_expression,
 )
 
 XYZW = tuple(Symbol(n) for n in "xyzw")
@@ -73,6 +75,31 @@ def random_expr(
     right = random_expr(rng, syms, depth - 1, allow_quot, fractional)
     node = {"add": Add, "sub": Sub, "mul": Mul, "quot": Quot}[op]
     return node(left, right)
+
+
+def planted_tree(rng: random.Random, quotients: bool) -> Expr:
+    """A random tree over a few subtrees, each reused as one object, as a
+    parsed copy, complemented or scaled by a constant; with `quotients`,
+    quotients occur, one of them failing wherever x = y."""
+    x, y = Sym(XYZW[0]), Sym(XYZW[1])
+    pool = [random_expr(rng, XYZW, rng.randint(1, 4), quotients) for _ in range(3)]
+    if quotients:
+        pool.append(Quot(x, Sub(x, y)))
+
+    def build(depth):
+        if depth and rng.random() < 0.7:
+            node = rng.choice([Add, Sub, Mul, Quot if quotients else Mul])
+            left = build(depth - 1)
+            return node(left, left if rng.random() < 0.25 else build(depth - 1))
+        f = rng.choice(pool)
+        return rng.choice([
+            f,
+            parse_expression(format_expr(f)),
+            Compl(f),
+            Mul(Const(rng.choice([2, -1, Fraction(1, 2)])), f),
+        ])
+
+    return build(rng.randint(1, 4))
 
 
 class Nested(Exception):

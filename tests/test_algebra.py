@@ -45,6 +45,7 @@ from helpers import (
     Nested,
     constituent_product,
     naive_to_expr,
+    planted_tree,
     random_expr,
     reference_display_order,
     reference_value,
@@ -575,38 +576,13 @@ def test_expand_matches_an_independent_quotient_reference():
     assert kinds == {"nested", "0/0", "k/0", "integral", "fractional"}
 
 
-def _planted_tree(rng):
-    """A random tree over a few subtrees, each reused as one object, as a
-    parsed copy, complemented or scaled by a constant; some trees carry a
-    quotient that fails wherever x = y."""
-    quotients = rng.random() < 0.6
-    pool = [random_expr(rng, XYZW, rng.randint(1, 4), quotients) for _ in range(3)]
-    if quotients:
-        pool.append(Quot(X, Sub(X, Y)))
-
-    def build(depth):
-        if depth and rng.random() < 0.7:
-            node = rng.choice([Add, Sub, Mul, Quot if quotients else Mul])
-            left = build(depth - 1)
-            return node(left, left if rng.random() < 0.25 else build(depth - 1))
-        f = rng.choice(pool)
-        return rng.choice([
-            f,
-            parse_expression(format_expr(f)),
-            Compl(f),
-            Mul(Const(rng.choice([2, -1, Fraction(1, 2)])), f),
-        ])
-
-    return build(rng.randint(1, 4))
-
-
 def test_planted_repeats_develop_like_the_reference():
     # equal subtrees are developed once; values, their types, and a
     # failure's message and constituents are those of each vertex alone
     rng = random.Random(1847)
     failed = 0
     for _ in range(400):
-        e = _planted_tree(rng)
+        e = planted_tree(rng, rng.random() < 0.6)
         failures = _vertex_failures(e)
         try:
             form = expand(e, XYZW)

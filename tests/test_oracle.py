@@ -32,11 +32,14 @@ from elective import (
     UniverseLimitExceeded,
     check_equation,
     expand,
+    format_expr,
     parse_equation,
+    parse_expression,
     solve_for,
     verify_solved,
 )
 from elective import oracle
+from elective.expr import _plan, _postorder
 from elective.oracle import MAX_ORACLE_WORK
 from helpers import (
     XYZW,
@@ -48,6 +51,7 @@ from helpers import (
     naive_models,
     naive_value,
     naive_verify,
+    planted_tree,
     random_expr,
     random_interpretable_expr,
     region,
@@ -66,7 +70,7 @@ def assign(m, **subsets):
 def _differ_at(eq, a):
     """The elements of model a, as a bitmask, where the sides of eq differ:
     one pass of the oracle's evaluator over the model's own columns."""
-    return oracle._differ(oracle._flatten(eq), a.universe.size, a.subsets)
+    return oracle._differ(_plan(Sub(eq.lhs, eq.rhs)), a.universe.size, a.subsets)
 
 
 def test_universe_limits():
@@ -455,8 +459,8 @@ def test_each_pass_decides_every_candidate_of_its_models(monkeypatch):
     decided = []
     real = oracle._differ
 
-    def recorded(sides, width, columns):
-        decided.append((width, dict(columns), real(sides, width, columns)))
+    def recorded(plan, width, columns):
+        decided.append((width, dict(columns), real(plan, width, columns)))
         return decided[-1][2]
 
     monkeypatch.setattr(oracle, "_differ", recorded)
@@ -519,9 +523,9 @@ def _recorded_widths(monkeypatch):
     widths = []
     real = oracle._evaluate
 
-    def recorded(programs, width, columns):
+    def recorded(plan, width, columns):
         widths.append(width)
-        return real(programs, width, columns)
+        return real(plan, width, columns)
 
     monkeypatch.setattr(oracle, "_evaluate", recorded)
     return widths
@@ -532,9 +536,9 @@ def _recorded_passes(monkeypatch):
     passes = []
     real = oracle._evaluate
 
-    def recorded(programs, width, columns):
+    def recorded(plan, width, columns):
         passes.append((width, dict(columns)))
-        return real(programs, width, columns)
+        return real(plan, width, columns)
 
     monkeypatch.setattr(oracle, "_evaluate", recorded)
     return passes
@@ -757,6 +761,116 @@ def test_bit_planes_match_the_naive_oracle(monkeypatch):
             assert verdict(verify_solved(shown, eq, 2)) == naive_verify(shown, eq, 2)
             seen["verified"] += 1
     assert min(seen.values()) > 40, seen
+
+
+def test_a_squared_premise_is_evaluated_once_per_pass(monkeypatch):
+    # the oracle evaluates the plan of lhs - rhs: in f*f = f, with the
+    # square of one object or of a parsed copy, each pass runs f's three
+    # products and the square's once, not f's three times over
+    products = []
+    real = oracle._product
+
+    def counted(x, y, full):
+        products.append(full)
+        return real(x, y, full)
+
+    monkeypatch.setattr(oracle, "_product", counted)
+    widths = _recorded_widths(monkeypatch)
+    f = parse_expression("x*y' + (z - x)*2*w")
+    for square in (Mul(f, f), Mul(parse_expression(format_expr(f)), f)):
+        for block in (oracle._BLOCK, 3):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            products.clear()
+            widths.clear()
+            assert check_equation(Equation(square, f), XYZW, 2) is not None
+            assert widths and len(products) == 4 * len(widths), block
+
+
+def test_planted_repeats_check_like_the_naive_oracle(monkeypatch):
+    # trees that reuse whole subtrees, as one object or as parsed copies,
+    # decide as the element-by-element reference does, in both checks
+    # (verify_solved on one-element models, which decide every size)
+    rng = random.Random(1854)
+    seen = Counter()
+    for i in range(60):
+        monkeypatch.setattr(oracle, "_BLOCK", rng.choice((1, 7, 2**15)))
+        lhs = planted_tree(rng, False)
+        rhs = expand(lhs, XYZW).to_expr() if i % 3 == 0 else planted_tree(rng, False)
+        eq = Equation(lhs, rhs)
+        leaves = (Sym, Const)
+        inner = sum(type(n) not in leaves for n in _postorder(Sub(lhs, rhs)))
+        planned = sum(kind not in leaves for kind, _, _ in _plan(Sub(lhs, rhs)).nodes)
+        seen["repeats"] += planned < inner
+        model = check_equation(eq, XYZW, 2)
+        first = naive_first_failure(eq, XYZW, 2)
+        assert (model and model.universe.size) == first, str(eq)
+        assert model is None or not naive_holds(eq, model)
+        seen["failing" if first is not None else "identities"] += 1
+        try:
+            sol = solve_for(eq, w, XYZW[:3])
+        except ElectiveError:
+            continue
+        shown = _moved(rng, sol)[0] if rng.random() < 0.5 else sol
+        report = verify_solved(shown, eq, 1)
+        assert verdict(report) == naive_verify(shown, eq, 1), str(eq)
+        found = report.counterexample
+        if found is not None:
+            found = found.kind, found.universe_size, dict(found.assignment), found.witness
+        assert found == naive_counterexample(shown, eq, 1), str(eq)
+        seen["verified" if report.ok else "refuted"] += 1
+    assert len(seen) == 5 and min(seen.values()) > 10, seen
+
+
+def test_typed_errors_come_in_post_order_on_planted_trees():
+    # leaves of trees with repeats turned, here and there, into a symbol
+    # the check lacks or a quotient: the error is the type of the first
+    # offending node of a post-order walk, at every universe bound
+    rng = random.Random(1815)
+    u = Symbol("u")
+
+    def plant(e, done):
+        """e with some leaves replaced, each reused object replaced alike."""
+        if id(e) not in done:
+            if type(e) in (Sym, Const):
+                r = rng.random()
+                done[id(e)] = Sym(u) if r < 0.03 else Quot(e, X) if r < 0.06 else e
+            elif type(e) is Compl:
+                done[id(e)] = Compl(plant(e.operand, done))
+            else:
+                done[id(e)] = type(e)(plant(e.left, done), plant(e.right, done))
+        return done[id(e)]
+
+    seen = Counter()
+    errors = {Sym: SymbolNotPresent, Quot: QuotientInOracle}
+    for _ in range(300):
+        eq = Equation(*(plant(planted_tree(rng, False), {}) for _ in "lr"))
+        offending = (
+            type(n)
+            for n in _postorder(Sub(eq.lhs, eq.rhs))
+            if type(n) is Quot or type(n) is Sym and n.symbol == u
+        )
+        error = errors.get(next(offending, None))
+        for m in (0, 3):
+            if error is None:
+                check_equation(eq, XYZW, m)
+            else:
+                with pytest.raises(error):
+                    check_equation(eq, XYZW, m)
+        seen[error] += 1
+    assert len(seen) == 3 and min(seen.values()) > 30, seen
+
+
+def test_work_counts_each_distinct_node_once():
+    # four copies of a 19-symbol product against a fifth: 2**19 points x
+    # 188 tree nodes is above the budget, x 40 distinct ones within it;
+    # over 20 symbols a square is refused, counting 2**20 x 40 distinct
+    f = "(" + "*".join(f"s{i}" for i in range(19)) + ")"
+    eq = parse_equation(f"{f}*{f}*{f}*{f} = {f}")
+    assert check_equation(eq, eq.free_symbols(), 8) is None
+    g = "(" + "*".join(f"s{i}" for i in range(20)) + ")"
+    eq = parse_equation(f"{g}*{g} = {g}")
+    with pytest.raises(UniverseLimitExceeded, match="needs 41,943,040 node"):
+        check_equation(eq, eq.free_symbols(), 8)
 
 
 @pytest.mark.parametrize(
