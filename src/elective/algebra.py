@@ -8,10 +8,10 @@ to 1, so every expression develops uniquely into
     f  =  sum over constituents C of  f(vertex of C) * C
 
 where the vertex of C assigns 1 to each plain factor and 0 to each
-complemented one.  This module computes that development from expr's
-plan of the tree, which the oracle evaluates too: each distinct subtree
-is taken once at all 2**n vertices together, so the index law
-(x**n = x), distributivity and commutativity hold by construction.
+complemented one.  This module computes that development by folding
+expr's plan of the tree, as the oracle does: each distinct subtree is
+taken once at all 2**n vertices together, so the index law (x**n = x),
+distributivity and commutativity hold by construction.
 
 Coefficients are exact rationals (fractions.Fraction).  Inside the pass
 values stay ints wherever they are integral, exact quotients included;
@@ -56,6 +56,7 @@ from .expr import (
     Symbol,
     ZERO,
     _Plan,
+    _fold,
     _plan,
     symbols,
 )
@@ -200,17 +201,19 @@ def _product(literals: list[tuple[Expr, Expr]], mask: int, first=None) -> Expr:
 def eval_at(e: Expr, vertex: Mapping[Symbol, int]) -> Coeff:
     """Evaluate an expression at a 0/1 vertex with exact arithmetic.
 
-    A quotient whose denominator evaluates to 0 yields 0/0 when the
-    numerator is 0 and k/0 otherwise.  Those values are terminal: if one
-    feeds any further operation the expression has no development and
-    UninterpretableNesting is raised.
+    A symbol the vertex lacks, or maps to other than 0 or 1, is refused
+    where it first occurs.  A quotient whose denominator evaluates to 0
+    yields 0/0 when the numerator is 0 and k/0 otherwise.  Those values
+    are terminal: if one feeds any further operation the expression has
+    no development and UninterpretableNesting is raised.
     """
 
     def column(s: Symbol) -> Callable[[], list]:
-        try:
-            return [vertex[s]].copy
-        except KeyError:
-            raise SymbolNotPresent(f"vertex does not assign symbol {s}") from None
+        if s not in vertex:
+            raise SymbolNotPresent(f"vertex does not assign symbol {s}")
+        if vertex[s] not in (0, 1):
+            raise ValueError(f"vertex assigns {vertex[s]!r} to symbol {s}, not 0 or 1")
+        return [int(vertex[s])].copy
 
     values, extended, failed = _evaluate(_plan(e), 1, column)
     if failed:
@@ -230,49 +233,42 @@ _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _evaluate(plan: _Plan, width: int, column) -> tuple[list, dict, dict]:
-    """The values of a planned tree at `width` points, each distinct subtree
-    taken once and dropped after its last use; column(s), called where s
-    first occurs, makes symbol s's values at each use.  A value is an int
-    (where integral) or Fraction per point, 0 where it is extended; those
-    are kept aside by point, one object per distinct value.  An extended
-    operand fails its point, keeping its first failure as (value, context).
-    Returns the root's values and extended values and the failures, early
-    once every point has failed."""
-    held: list = []  # by slot: a leaf's maker, or an inner node's values
-    extended: dict[int, dict] = {}  # by slot, where an inner node has any
-    left = plan.uses.copy()
+    """The root's values, extended values and failures of a planned tree at
+    `width` points, by expr._fold; column(s), called where s first occurs,
+    makes symbol s's values at each use.  A node's value pairs an int (where
+    integral) or Fraction per point, 0 where extended (a leaf's list made at
+    each use), with its extended values by point, one object per distinct
+    value.  An extended operand fails its point, keeping its first failure
+    as (value, context); once every point has failed, nothing more runs."""
     failed: dict[int, tuple[Coeff, str]] = {}
     specials: dict = {0: INDETERMINATE}  # x/0 by numerator x
-    for slot, (kind, a, b) in enumerate(plan.nodes):
-        if kind is Sym or kind is Const:
-            held.append(column(a) if kind is Sym else partial(operator.mul, [a], width))
-            continue
-        x = held[a] if type(held[a]) is list else held[a]()
-        y = x if b == a else (held[b] if type(held[b]) is list else held[b]())
-        if extended:
-            for s, context in zip((a, b), _CONTEXTS[kind]):
-                for p, v in extended.get(s, {}).items():
+
+    def leaf(kind, a):
+        if len(failed) == width:
+            return None
+        return column(a) if kind is Sym else partial(operator.mul, [a], width), {}
+
+    def inner(kind, x, y):
+        if len(failed) < width and (x[1] or y[1]):
+            for (_, extended), context in zip((x, y), _CONTEXTS[kind]):
+                for p, v in extended.items():
                     failed.setdefault(p, (v, context))
-            if len(failed) == width:
-                return [], {}, failed
+        if len(failed) == width:
+            return None
+        xs = x[0] if type(x[0]) is list else x[0]()
+        ys = xs if y is x else y[0] if type(y[0]) is list else y[0]()
         if kind is Compl:
-            values = list(map(operator.sub, repeat(1), x))
-        elif kind is Quot:
-            values = [_quotient(p, q) if q else 0 for p, q in zip(x, y)]
-            zeros = [p for p, q in enumerate(y) if not q]
-            for k in {x[p] for p in zeros}.difference(specials):
-                specials[k] = Infinite(k)
-            extended[slot] = {p: specials[x[p]] for p in zeros}
-        else:
-            values = list(map(_ARITHMETIC[kind], x, y))
-        held.append(values)
-        for s in (a, b):
-            left[s] -= 1
-            if not left[s]:
-                held[s] = None
-                extended.pop(s, None)
-    root = held[-1]
-    return root if type(root) is list else root(), extended.get(slot, {}), failed
+            return list(map(operator.sub, repeat(1), xs)), {}
+        if kind is not Quot:
+            return list(map(_ARITHMETIC[kind], xs, ys)), {}
+        zeros = [p for p, q in enumerate(ys) if not q]
+        for k in {xs[p] for p in zeros}.difference(specials):
+            specials[k] = Infinite(k)
+        values = [_quotient(p, q) if q else 0 for p, q in zip(xs, ys)]
+        return values, {p: specials[xs[p]] for p in zeros}
+
+    values, extended = _fold(plan, leaf, inner) or ([], {})
+    return values if type(values) is list else values(), extended, failed
 
 
 def _quotient(x, y):
@@ -347,7 +343,7 @@ class LinearForm:
                     f"constituent {c} is over {[s.name for s in c.symbols]}, "
                     f"not {[s.name for s in self.symbols]}"
                 )
-            return self.coeffs[c.mask]
+            c = c.mask
         if not 0 <= c < len(self.coeffs):
             raise ValueError(f"mask {c} outside 0..{len(self.coeffs) - 1}")
         return self.coeffs[c]

@@ -8,6 +8,10 @@ own node but is definitionally sugar for 1 - x.
 Expressions here are purely formal: + is not union and - is not set
 difference.  Their class meaning, when they have one, is recovered by
 developing them into constituent normal form (see the algebra module).
+
+A tree's plan (_plan) lists its distinct subtrees once each; equal trees
+have equal plans, so equality, hashing and free_symbols read it.  _fold is
+the one walk of a plan, for development and the oracle alike.
 """
 
 from __future__ import annotations
@@ -89,8 +93,7 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
-    # Equality and hashing read one post-order walk, and repr keeps its own
-    # stack, so a 3000-term sum compares, hashes and prints like a short one.
+    # Equality and hashing read the plan; it and repr keep their own stacks.
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
@@ -98,10 +101,10 @@ class Expr:
         if self is other:
             return True
         # the root's type first: a constant and a sum differ at once
-        return type(self) is type(other) and _shape(self) == _shape(other)
+        return type(self) is type(other) and _plan(self).nodes == _plan(other).nodes
 
     def __hash__(self) -> int:
-        return hash(tuple(_shape(self)))
+        return hash(tuple(_plan(self).nodes))
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -207,7 +210,7 @@ class _Plan(NamedTuple):
     """A tree's distinct subtrees in first-occurrence order, without values."""
 
     nodes: list[tuple]  # (type, symbol or value, None) or (type, operand slots)
-    uses: list[int]  # the distinct nodes taking each slot as an operand; 1 at the root
+    uses: list[int]  # per slot, the distinct nodes taking it; 1 at the root; for _fold
     symbols: tuple[Symbol, ...]  # in first-occurrence order, as free_symbols gives them
     divides: bool  # whether a quotient occurs
 
@@ -216,8 +219,8 @@ def _plan(e: Expr) -> _Plan:
     """e's distinct subtrees from one post-order walk, for the development
     and the oracle alike.  A leaf's key is its type and symbol or value, an
     inner node's its type and operand slots (a complement's one slot
-    twice), so equal subtrees share a slot; a slot's uses of its operands,
-    symbol and quotient are counted as it is made."""
+    twice), so equal subtrees share a slot and equal trees have equal
+    nodes; uses, symbols and quotients are counted as each slot is made."""
     slots: dict = {}
     nodes: list[tuple] = []
     uses: list[int] = []
@@ -250,20 +253,28 @@ def _plan(e: Expr) -> _Plan:
     return _Plan(nodes, uses, tuple(named), divides)
 
 
-def _shape(e: Expr) -> list[tuple]:
-    """e's nodes in post-order as (node type, constant or symbol) pairs.
-
-    Every node type has a fixed arity, so equal shapes mean equal trees.
-    """
-    return [
-        (type(n), n.value if type(n) is Const else getattr(n, "symbol", None))
-        for n in _postorder(e)
-    ]
+def _fold(plan: _Plan, leaf, inner):
+    """The root's value of a planned tree: leaf(kind, symbol or value) at
+    each leaf slot and inner(kind, x, y) at each inner slot, on its
+    operands' values (a complement's one operand twice), in slot order.
+    Each slot's value is dropped after its last use."""
+    held: list = []
+    left = plan.uses.copy()
+    for kind, a, b in plan.nodes:
+        if b is None:
+            held.append(leaf(kind, a))
+            continue
+        held.append(inner(kind, held[a], held[b]))
+        for s in (a, b):
+            left[s] -= 1
+            if not left[s]:
+                held[s] = None
+    return held[-1]
 
 
 def free_symbols(e: Expr) -> tuple[Symbol, ...]:
     """All symbols of e, in first-occurrence (leftmost) order."""
-    return tuple(dict.fromkeys(n.symbol for n in _postorder(e) if type(n) is Sym))
+    return _plan(e).symbols
 
 
 @dataclass(frozen=True)

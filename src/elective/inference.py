@@ -112,7 +112,7 @@ class SolvedClass:
         is not assembled, so 0 indeterminate, 1 included, 2 excluded (or in
         no group) and 3 side condition.  In two groups, a side condition
         wins over included, included over indeterminate, and indeterminate
-        over excluded.  A constituent over another symbol list is refused."""
+        over excluded.  A constituent off the table, by symbols or mask, is refused."""
         syms = self.free_symbols
         reading = bytearray([2]) * (1 << len(syms))
         pieces = [c for _, c in self.indeterminate]
@@ -124,6 +124,8 @@ class SolvedClass:
                         f"constituent {c} is over {[s.name for s in c.symbols]}, "
                         f"not the solution's free symbols {[s.name for s in syms]}"
                     )
+                if not 0 <= c.mask < len(reading):
+                    raise ValueError(f"mask {c.mask} outside 0..{len(reading) - 1}")
                 reading[c.mask] = code
         return reading
 

@@ -7,10 +7,10 @@ the algebra module's development code: the two meet only in tests, where
 the developed coefficient at a constituent must match the numeric value
 on that constituent's region.
 
-One evaluator serves both checks.  It walks expr's plan of lhs - rhs,
-each distinct subtree once, and each node holds its values at a row of
-points at once, bit-sliced: a symbol's column is one int, and a node's
-value is its numerator as two's-complement bit planes, with bounds taken
+One evaluator serves both checks.  It folds expr's plan of lhs - rhs
+with expr._fold, each distinct subtree once; a node holds its values at
+a row of points at once, bit-sliced: a symbol's column is one int, and a
+node's value is its numerator as two's-complement bit planes, bounded
 from the tree, over one static denominator, so fractions stay exact.
 The sides differ where the root's planes have a bit set.
 
@@ -48,8 +48,8 @@ from typing import Mapping
 
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
-from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Sym, Symbol
-from .expr import _Plan, _plan, symbols
+from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Symbol
+from .expr import _Plan, _fold, _plan, symbols
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
@@ -177,38 +177,29 @@ def _linear(kind: type, x: tuple, y: tuple, full: int) -> tuple:
 
 
 def _evaluate(plan: _Plan, width: int, columns: Mapping[Symbol, int]) -> tuple:
-    """The planned tree's row at `width` points, each distinct subtree
-    taken once and its row dropped after its last use.  Bit p of
-    columns[s] is symbol s's value at point p.  A row is (planes, lo, hi,
+    """The planned tree's row at `width` points, folded by expr._fold.  Bit p
+    of columns[s] is symbol s's value at point p.  A row is (planes, lo, hi,
     den): at point p its value is n/den, where n, from lo to hi, is read
     in two's complement from bit p of each plane, the last plane the sign.
     A symbol missing from columns, or a quotient, raises at its slot,
     which is where a walk of the tree first meets it."""
     full = (1 << width) - 1
-    rows: list = []
-    left = plan.uses.copy()
-    for kind, a, b in plan.nodes:
-        if kind is Sym:
-            if a not in columns:
-                raise SymbolNotPresent(f"assignment does not cover symbol {a}")
-            rows.append(([columns[a], 0], 0, 1, 1))
-        elif kind is Const:
-            rows.append(_constant(a.numerator, a.denominator, full))
-        elif kind is Quot:
+
+    def leaf(kind, a):
+        if kind is Const:
+            return _constant(a.numerator, a.denominator, full)
+        if a not in columns:
+            raise SymbolNotPresent(f"assignment does not cover symbol {a}")
+        return [columns[a], 0], 0, 1, 1
+
+    def inner(kind, x, y):
+        if kind is Quot:
             raise QuotientInOracle("formal division has no pointwise set meaning")
-        else:
-            x, y = rows[a], rows[b]
-            if kind is Compl:
-                rows.append(_linear(Sub, _constant(x[3], x[3], full), x, full))
-            elif kind is Mul:
-                rows.append(_product(x, y, full))
-            else:
-                rows.append(_linear(kind, x, y, full))
-            for s in (a, b):
-                left[s] -= 1
-                if not left[s]:
-                    rows[s] = None
-    return rows[-1]
+        if kind is Compl:
+            return _linear(Sub, _constant(x[3], x[3], full), x, full)
+        return _product(x, y, full) if kind is Mul else _linear(kind, x, y, full)
+
+    return _fold(plan, leaf, inner)
 
 
 def _differ(plan: _Plan, width: int, columns: Mapping[Symbol, int]) -> int:

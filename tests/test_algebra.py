@@ -147,6 +147,25 @@ def test_eval_at_meets_each_symbol_where_it_first_occurs():
         eval_at(parse_expression("(x/x')*y + q"), {x: 1, y: 1})
 
 
+
+def test_eval_at_reads_a_vertex_value_of_0_or_1_and_refuses_any_other():
+    for one in (1, True, 1.0, Fraction(1)):
+        assert eval_at(Add(X, ONE), {x: one}) == 2
+        assert type(eval_at(X, {x: one})) is Fraction
+    assert eval_at(Add(X, ONE), {x: 0.0}) == 1
+    q = Symbol("q")
+    for bad in (5, 0.5, Fraction(1, 2), -1, "a", None):
+        message = f"vertex assigns {bad!r} to symbol x, not 0 or 1"
+        with pytest.raises(ValueError) as refused:
+            eval_at(Add(X, ONE), {x: bad})
+        assert str(refused.value) == message
+        # refused where the symbol first occurs, as a missing one is
+        with pytest.raises(ValueError, match="symbol q"):
+            eval_at(parse_expression("q + (x/x')*y"), {x: 1, y: 1, q: bad})
+        with pytest.raises(UninterpretableNesting):
+            eval_at(parse_expression("(x/x')*y + q"), {x: 1, y: 1, q: bad})
+
+
 # ---------------------------------------------------------------------------
 # expand: frozen examples
 # ---------------------------------------------------------------------------
@@ -253,6 +272,14 @@ def test_coeff_refuses_masks_outside_the_basis(mask):
     with pytest.raises(ValueError, match=rf"^mask {mask} outside 0\.\.3$"):
         f.coeff(mask)
     assert [f.coeff(m) for m in range(4)] == list(f.coeffs)
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 20])
+def test_coeff_refuses_a_constituent_mask_outside_the_basis(mask):
+    # the same range check as for a mask: -1 would read the last coefficient
+    f = expand(Mul(X, Compl(Y)), (x, y))
+    with pytest.raises(ValueError, match=rf"^mask {mask} outside 0\.\.3$"):
+        f.coeff(Constituent((x, y), mask))
 
 
 def test_form_ops_reject_extended_coefficients():

@@ -5,8 +5,8 @@ Every imported name is used by the module that imports it, every
 module-level private name is used somewhere in the package, every error
 type is constructed outside errors.py, the package's __init__ imports
 exactly what its __all__ exports, no module but expr tells a name from a
-Symbol, no module but inference reads a solution's groups, and no
-function calls itself, directly or through others.
+Symbol or walks a plan, no module but inference reads a solution's
+groups, and no function calls itself, directly or through others.
 """
 
 from __future__ import annotations
@@ -119,6 +119,27 @@ def test_only_expr_reads_a_name_as_a_symbol():
         and "str" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
     }
     assert readers <= {"expr"}, f"{sorted(readers - {'expr'})} test for str"
+
+
+def test_only_expr_walks_a_plan():
+    # expr._fold is the one walk of a plan: another module may count the
+    # slots, but reads neither them nor how many uses each has left
+    readers = set()
+    for module, tree in TREES.items():
+        counted = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+            for arg in node.args
+        }
+        readers.update(
+            module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("uses", "nodes")
+            and id(node) not in counted
+        )
+    assert readers <= {"expr"}, f"{sorted(readers - {'expr'})} walk a plan"
 
 
 def test_only_inference_reads_a_solutions_groups():

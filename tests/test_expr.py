@@ -1,6 +1,7 @@
 """Expression tree basics: symbols, rendering, equality."""
 
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from elective import (
     parse_expression,
     symbols,
 )
+from elective.expr import _fold, _plan
 from helpers import random_expr
 
 x, y, z = symbols("x y z")
@@ -226,3 +228,36 @@ def test_deep_trees_built_apart_compare_and_hash_equal(left):
 def test_binary_nodes_are_frozen():
     with pytest.raises(FrozenInstanceError):
         Add(Sym(x), Sym(y)).left = Sym(z)
+
+
+def test_fold_takes_each_slot_in_order_and_drops_values_after_their_last_use():
+    # a plan with a shared leaf, a shared complement, a square and a
+    # constant: leaf and inner calls come in slot order, a complement gets
+    # its one operand twice, and at each inner call the values whose last
+    # user came before it are gone
+    plan = _plan(parse_expression("(x' + y)*(x' + y) + x*2 + x'"))
+    last = {}  # each slot's last user
+    for slot, (_, a, b) in enumerate(plan.nodes):
+        if b is not None:
+            last[a] = last[b] = slot
+    calls, refs = [], []
+
+    class Value:  # weakref-able, unlike tuples and ints
+        pass
+
+    def made(call):
+        calls.append(call)
+        value = Value()
+        refs.append(weakref.ref(value))
+        return value
+
+    def inner(kind, x, y):
+        slot, alive = len(refs), [r() for r in refs]
+        if kind is Compl:
+            assert x is y
+        assert [v is not None for v in alive] == [last[j] >= slot for j in range(slot)]
+        return made((kind, alive.index(x), alive.index(y)))
+
+    root = _fold(plan, lambda kind, a: made((kind, a, None)), inner)
+    assert calls == plan.nodes
+    assert root is refs[-1]() and [r() for r in refs[:-1]] == [None] * (len(refs) - 1)

@@ -335,6 +335,23 @@ def test_a_constituent_in_two_groups_reads_one_way_everywhere():
     assert verify_solved(both, eq, 3).ok
 
 
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_a_grouped_mask_outside_the_table_is_refused(mask):
+    # x*y excluded and included again as mask -1 would print, and verify,
+    # as the right solution; mask 4 would index past the table
+    eq = parse_equation("x*w = y")
+    sol = solve_for(eq, w)
+    xy = constituents((x, y))[3]
+    bad = dataclasses.replace(
+        sol,
+        included=frozenset({dataclasses.replace(xy, mask=mask)}),
+        excluded=sol.excluded | {xy},
+    )
+    for read in (bad.describe, bad.display_groups, lambda: verify_solved(bad, eq, 2)):
+        with pytest.raises(ValueError, match=rf"^mask {mask} outside 0\.\.3$"):
+            read()
+
+
 def test_a_constituent_in_no_group_reads_as_excluded():
     # the display lists it where the oracle reads it, and so finds it wrong
     eq = parse_equation("x*w = y")
