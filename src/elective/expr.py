@@ -9,9 +9,10 @@ Expressions here are purely formal: + is not union and - is not set
 difference.  Their class meaning, when they have one, is recovered by
 developing them into constituent normal form (see the algebra module).
 
-A tree's plan (_plan) lists its distinct subtrees once each; equal trees
-have equal plans, so equality, hashing and free_symbols read it.  _fold is
-the one walk of a plan, for development and the oracle alike.
+A tree's plan (_plan) lists its distinct subtrees once each, from one walk
+that takes each object once and refuses a non-expression; equal trees have
+equal plans, so equality, hashing and free_symbols read it.  _fold is the
+one walk of a plan, for development and the oracle alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 SYMBOL_PATTERN = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -93,8 +94,6 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
-    # Equality and hashing read the plan; it and repr keep their own stacks.
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
@@ -108,22 +107,28 @@ class Expr:
 
     def __repr__(self) -> str:
         parts: list[str] = []
-        todo: list = [self]
+        todo: list = [(self,)]  # texts, and each node to show in a 1-tuple
         while todo:
             item = todo.pop()
-            kind = type(item)
-            if kind is str:
+            if type(item) is str:
                 parts.append(item)
-            elif kind is Const:
+                continue
+            (item,) = item
+            kind = type(item)
+            if kind is Const:
                 parts.append(f"Const(value={item.value!r})")
             elif kind is Sym:
                 parts.append(f"Sym(symbol={item.symbol!r})")
             elif kind is Compl:
                 parts.append("Compl(operand=")
-                todo += (")", item.operand)
-            else:
+                todo += (")", (item.operand,))
+            elif isinstance(item, _Binary):
                 parts.append(f"{kind.__name__}(left=")
-                todo += (")", item.right, ", right=", item.left)
+                todo += (")", (item.right,), ", right=", (item.left,))
+            elif isinstance(item, Expr):  # of no known kind
+                parts.append(object.__repr__(item))
+            else:  # not an expression
+                parts.append(repr(item))
         return "".join(parts)
 
 
@@ -143,6 +148,8 @@ class Sym(Expr):
     def __post_init__(self):
         if isinstance(self.symbol, str):
             object.__setattr__(self, "symbol", Symbol(self.symbol))
+        elif not isinstance(self.symbol, Symbol):
+            raise TypeError(f"cannot treat {self.symbol!r} as a symbol")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -176,6 +183,7 @@ class Compl(Expr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+_TAKEN = object()  # on _plan's stack, above a node whose operands are all taken
 
 
 def as_expr(value: ExprLike) -> Expr:
@@ -188,24 +196,6 @@ def as_expr(value: ExprLike) -> Expr:
     raise TypeError(f"cannot treat {value!r} as an expression")
 
 
-def _postorder(e: Expr) -> Iterator[Expr]:
-    """Every node of e, children before parents and left before right.
-
-    The walk keeps its own stack, so a deep tree costs no interpreter
-    stack: the reverse of a root-first walk that takes right before left
-    is exactly the post-order.
-    """
-    order, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if type(node) is Compl:
-            stack.append(node.operand)
-        elif isinstance(node, _Binary):
-            stack += (node.left, node.right)
-    return reversed(order)
-
-
 class _Plan(NamedTuple):
     """A tree's distinct subtrees in first-occurrence order, without values."""
 
@@ -216,29 +206,41 @@ class _Plan(NamedTuple):
 
 
 def _plan(e: Expr) -> _Plan:
-    """e's distinct subtrees from one post-order walk, for the development
-    and the oracle alike.  A leaf's key is its type and symbol or value, an
-    inner node's its type and operand slots (a complement's one slot
-    twice), so equal subtrees share a slot and equal trees have equal
-    nodes; uses, symbols and quotients are counted as each slot is made."""
-    slots: dict = {}
-    nodes: list[tuple] = []
-    uses: list[int] = []
-    named: list[Symbol] = []
+    """e's distinct subtrees, for the development and the oracle alike, in
+    the order a post-order walk (children first, left before right) meets
+    them.  A leaf's key is its type and symbol or value, an inner node's its
+    type and operand slots (a complement's one slot twice), so equal subtrees
+    share a slot and equal trees have equal nodes; uses, symbols and quotients
+    are counted as each slot is made.  The walk keeps its own stack, takes
+    each object once (f*f costs f once) and refuses a non-expression."""
+    slots: dict = {}  # each key, and the id of each object taken, to its slot
+    nodes, uses, named = [], [], []  # the _Plan's first three fields
     divides = False
     operands: list[int] = []  # the slots of the operands still to be taken
-    for node in _postorder(e):
-        kind = type(node)
-        if kind is Sym:
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is _TAKEN:
+            node, b, a = stack.pop(), operands.pop(), operands.pop()
+            kind = type(node)
+            entry = key = (kind, a, b)
+        elif (slot := slots.get(id(node))) is not None:  # an object met before
+            operands.append(slot)
+            continue
+        elif (kind := type(node)) is Sym:
             entry, key = (kind, node.symbol, None), node.symbol.name
         elif kind is Const:
             v = node.value
             entry = key = (kind, v.numerator if v.denominator == 1 else v, None)
+        elif kind is Compl:
+            stack += (node, _TAKEN, node.operand, node.operand)
+            continue
+        elif isinstance(node, _Binary):
+            stack += (node, _TAKEN, node.right, node.left)
+            continue
         else:
-            b = operands.pop()
-            a = b if kind is Compl else operands.pop()
-            entry = key = (kind, a, b)
-        slot = slots.setdefault(key, len(nodes))
+            raise TypeError(f"cannot treat {node!r} as an expression")
+        slot = slots[id(node)] = slots.setdefault(key, len(nodes))
         if slot == len(nodes):
             nodes.append(entry)
             uses.append(0)
@@ -286,7 +288,7 @@ class Equation:
 
     def homogeneous(self) -> Expr:
         """The expression whose vanishing states the equation (lhs - rhs)."""
-        if self.rhs == ZERO:
+        if type(self.rhs) is Const and self.rhs.value == 0:
             return self.lhs
         return Sub(self.lhs, self.rhs)
 
@@ -295,6 +297,13 @@ class Equation:
 
     def __str__(self) -> str:
         return f"{format_expr(self.lhs)} = {format_expr(self.rhs)}"
+
+
+def _equation(value) -> Equation:
+    """value, which must be an Equation: anything else is refused."""
+    if not isinstance(value, Equation):
+        raise TypeError(f"expected an Equation, not {value!r}")
+    return value
 
 
 # The grammar's binary operators, written once for the parser and

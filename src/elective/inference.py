@@ -57,6 +57,7 @@ from .expr import (
     Mul,
     Symbol,
     ZERO,
+    _equation,
     _plan,
     symbols,
 )
@@ -217,7 +218,7 @@ def eliminate(eq: Equation, drop: Symbol | str) -> EliminationResult:
     """Remove one symbol, drop (a name or a Symbol), from f = 0 via the
     residual f[1] * f[0] = 0."""
     (drop,) = symbols([drop])
-    plan = _plan(eq.homogeneous())
+    plan = _plan(_equation(eq).homogeneous())
     if drop not in plan.symbols:
         raise SymbolNotPresent(f"symbol {drop} does not occur in {eq}")
     if plan.divides:
@@ -238,7 +239,7 @@ def combine_premises(premises) -> Equation:
 
 def _combined(premises):
     """combine_premises's equation, and the plan of its left side."""
-    premises = list(premises)
+    premises = [_equation(p) for p in premises]
     if not premises:
         raise EmptyPremises("at least one premise equation is required")
     total = reduce(Add, (Mul(f, f) for f in (p.homogeneous() for p in premises)))
@@ -264,7 +265,7 @@ def solve_for(eq: Equation, unknown: Symbol | str, syms=None) -> SolvedClass:
     """
     (unknown,) = symbols([unknown])
     syms = None if syms is None else symbols(syms)  # bad names are refused first
-    plan = _plan(eq.homogeneous())
+    plan = _plan(_equation(eq).homogeneous())
     _check_unknown(unknown, plan.symbols, eq)
     if plan.divides:
         raise UninterpretableNesting("solver input must be division-free")

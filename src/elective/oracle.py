@@ -49,7 +49,7 @@ from typing import Mapping
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Symbol
-from .expr import _Plan, _fold, _plan, symbols
+from .expr import _Plan, _equation, _fold, _plan, symbols
 from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
@@ -335,7 +335,7 @@ def verify_solved(
     before completeness, with the smaller failing candidate as witness.
     The report counts the models of each size that the verdict covers.
     """
-    plan, syms = _plan(Sub(eq.lhs, eq.rhs)), sol.free_symbols
+    plan, syms = _plan(Sub(_equation(eq).lhs, eq.rhs)), sol.free_symbols
     points = _points(plan, (sol.unknown, *syms), max_universe)
     extras = [s for s in plan.symbols if s != sol.unknown and s not in syms]
     if extras:
@@ -382,7 +382,7 @@ def plan_verification(eq: Equation, unknown, syms=None, max_universe: int = 4) -
     """Refuse, with UniverseLimitExceeded and before anything is solved, the
     check that verify_solved would plan for solve_for(eq, unknown, syms)."""
     (unknown,) = symbols([unknown])
-    plan = _plan(Sub(eq.lhs, eq.rhs))
+    plan = _plan(Sub(_equation(eq).lhs, eq.rhs))
     free = plan.symbols if syms is None else symbols(syms)
     _points(plan, (unknown, *(s for s in free if s != unknown)), max_universe)
 
@@ -395,7 +395,7 @@ def check_equation(eq: Equation, syms, max_universe: int = 4) -> SetAssignment |
     elements, so the first failing model is the one-element model of the
     lowest type where the sides differ, and none fails if no type does.
     """
-    plan, syms = _plan(Sub(eq.lhs, eq.rhs)), symbols(syms)
+    plan, syms = _plan(Sub(_equation(eq).lhs, eq.rhs)), symbols(syms)
     for run, differ in _differences(plan, syms, _points(plan, syms, max_universe)):
         if differ:
             return _assignment(syms, run.start + (differ & -differ).bit_length() - 1)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 import elective
 from elective import (
@@ -30,6 +31,7 @@ from elective import (
     format_expr,
     parse_expression,
 )
+from elective.expr import _Binary
 
 XYZW = tuple(Symbol(n) for n in "xyzw")
 
@@ -47,6 +49,24 @@ def run_elective(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "elective", *argv], env=child_env(), **kwargs
     )
+
+
+def _postorder(e: Expr) -> Iterator[Expr]:
+    """Every node of e, children before parents and left before right.
+
+    The walk keeps its own stack, so a deep tree costs no interpreter
+    stack: the reverse of a root-first walk that takes right before left
+    is exactly the post-order.
+    """
+    order, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if type(node) is Compl:
+            stack.append(node.operand)
+        elif isinstance(node, _Binary):
+            stack += (node.left, node.right)
+    return reversed(order)
 
 
 def random_expr(

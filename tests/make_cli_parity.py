@@ -90,7 +90,8 @@ def command_argvs() -> list[list[str]]:
         argvs.append(["partition", "--symbols", basis])
         premises = [a for i in range(n) for a in ("-p", f"s{i}*s{(i + 1) % n}' = 0")]
         argvs.append(["syllogism", *premises, "--drop", "s1"])
-        argvs.append(["syllogism", *premises, "--drop", "s1,s2", "--conclude-for", "s0"])
+        argvs.append(["syllogism", *premises, "--drop", "s1,s2",
+                      "--conclude-for", "s0"])
         for e in (ring(n), quotient(n), constant_heavy(n)):
             argvs += [
                 ["expand", e],
@@ -100,7 +101,8 @@ def command_argvs() -> list[list[str]]:
                 ["check", f"{e} = {e}", "--max-universe", "2"],
                 ["eliminate", f"{e} = 0", "--drop", "s1"],
                 ["solve", f"{e} = w*s0", "--for", "w"],
-                ["solve", f"{e} = w*s0", "--for", "w", "--verify", "--max-universe", "2"],
+                ["solve", f"{e} = w*s0", "--for", "w",
+                 "--verify", "--max-universe", "2"],
             ]
     return argvs + [a + ["--json"] for a in argvs]
 
@@ -119,9 +121,11 @@ def refusal_argvs() -> list[tuple[list[str], bool]]:
         ["solve", "x*w = y", "--for", "w", "--verify", "--max-universe", "0"],
         ["solve", f"x*w = {product}", "--for", "w", "--verify", "--max-universe", "8"],
         ["expand", "x +"], ["expand", "x*(y"], ["expand", "X"], ["expand", ""],
-        ["expand", "x $ y"], ["check", "x = y = z"], ["eliminate", "x*y", "--drop", "y"],
+        ["expand", "x $ y"], ["check", "x = y = z"],
+        ["eliminate", "x*y", "--drop", "y"],
         ["solve", "x = y", "--for", "w"], ["solve", "v1*w = x", "--for", "w"],
-        ["eliminate", "x = y", "--drop", "z"], ["syllogism", "-p", "x = y", "--drop", "Y"],
+        ["eliminate", "x = y", "--drop", "z"],
+        ["syllogism", "-p", "x = y", "--drop", "Y"],
         ["expand", "x", "--symbols", "y"], ["expand", "x", "--symbols", "x,x"],
     ]
     refusals += [a + ["--json"] for a in refusals]

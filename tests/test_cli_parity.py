@@ -24,4 +24,5 @@ def test_every_recorded_invocation_gives_the_same_exit_code_stdout_and_stderr():
         wrong = [f for f in fields if got[f] != want[f]]
         if wrong:
             differ.append((" ".join(want["argv"])[:120], wrong))
-    assert not differ, f"{len(differ)} of {len(doc['entries'])} entries differ: {differ[:10]}"
+    total = len(doc["entries"])
+    assert not differ, f"{len(differ)} of {total} entries differ: {differ[:10]}"

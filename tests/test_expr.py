@@ -1,8 +1,10 @@
 """Expression tree basics: symbols, rendering, equality."""
 
 import random
+import re
+import time
 import weakref
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -20,14 +22,18 @@ from elective import (
     Symbol,
     SymbolNotPresent,
     ZERO,
+    check_equation,
     eliminate,
+    expand,
     format_expr,
     free_symbols,
+    parse_equation,
     parse_expression,
     symbols,
 )
+from elective import expr
 from elective.expr import _fold, _plan
-from helpers import random_expr
+from helpers import _postorder, planted_tree, random_expr
 
 x, y, z = symbols("x y z")
 
@@ -261,3 +267,83 @@ def test_fold_takes_each_slot_in_order_and_drops_values_after_their_last_use():
     root = _fold(plan, lambda kind, a: made((kind, a, None)), inner)
     assert calls == plan.nodes
     assert root is refs[-1]() and [r() for r in refs[:-1]] == [None] * (len(refs) - 1)
+
+
+def _squared(times):
+    f = Mul(Sym(x), Compl(Sym(y)))
+    for _ in range(times):
+        f = Mul(f, f)
+    return f
+
+
+def test_a_tree_of_shared_objects_plans_each_object_once():
+    # x*y' squared 60 times is 64 objects but 2**61 - 1 tree nodes: a walk
+    # by occurrence never ends, a walk by object takes each once
+    f, g = _squared(60), _squared(60)
+    start = time.perf_counter()
+    development = [("x*y", 0), ("x*y'", 1), ("x'*y", 0), ("x'*y'", 0)]
+    assert list(expand(f).display_items()) == development
+    assert f == g and f != _squared(59) and hash(f) == hash(g)
+    assert free_symbols(f) == (x, y)
+    assert check_equation(Equation(f, _squared(0)), (x, y)) is None
+    assert check_equation(Equation(f, Sym(x)), (x, y)) is not None
+    assert time.perf_counter() - start < 1.0
+    assert len(_plan(f).nodes) == 64
+
+
+def _unshared(e):
+    """A copy of e with a new object at every occurrence, leaves included."""
+    made = []
+    for node in _postorder(e):
+        if type(node) is Sym:
+            made.append(Sym(node.symbol))
+        elif type(node) is Const:
+            made.append(Const(node.value))
+        elif type(node) is Compl:
+            made.append(Compl(made.pop()))
+        else:
+            right = made.pop()
+            made.append(type(node)(made.pop(), right))
+    return made.pop()
+
+
+def test_shared_objects_plan_as_their_unshared_copies():
+    # slots, their order, uses, symbols and the quotient flag are those of
+    # the tree walked occurrence by occurrence, whatever objects repeat
+    rng = random.Random(32)
+    shared = 0
+    for i in range(400):
+        e = planted_tree(rng, i % 2 == 0) if i % 4 < 3 else random_expr(rng, depth=5)
+        if i % 5 == 0:  # an object repeated inside itself and beside itself
+            e = Add(Mul(e, e), Compl(e))
+        occurrences, copy = list(_postorder(e)), _unshared(e)
+        assert len({id(n) for n in _postorder(copy)}) == len(occurrences)
+        shared += len({id(n) for n in occurrences}) < len(occurrences)
+        assert _plan(e) == _plan(copy), format_expr(e)
+    assert shared > 200
+
+
+def test_homogeneous_makes_no_plan(monkeypatch):
+    # a zero right side is read by its type and value, not by ==
+    zero, other = parse_equation("x = 0"), parse_equation("x = y")
+    calls = []
+    monkeypatch.setattr(expr, "_plan", lambda e: calls.append(e) or _plan(e))
+    assert zero.homogeneous() is zero.lhs
+    fraction_zero = Equation(Sym(x), Const(Fraction(0)))
+    assert fraction_zero.homogeneous() is fraction_zero.lhs
+    half = Equation(Sym(x), Const(Fraction(1, 2)))
+    assert type(half.homogeneous()) is Sub and half.homogeneous().right is half.rhs
+    assert type(other.homogeneous()) is Sub and other.homogeneous().right is other.rhs
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), None, "y", x, (Sym(y),)])
+def test_a_non_expression_operand_is_refused_by_name(value):
+    refused = re.escape(f"cannot treat {value!r} as an expression")
+    for tree in (Add(value, Sym(x)), Compl(Mul(Sym(x), value)), Quot(Sym(x), value)):
+        for call in (_plan, expand, free_symbols, hash, lambda t: t == replace(t)):
+            with pytest.raises(TypeError, match=refused):
+                call(tree)
+        assert repr(value) in repr(tree)
+    shown = f"Add(left={value!r}, right=Sym(symbol=Symbol(name='x')))"
+    assert repr(Add(value, Sym(x))) == shown

@@ -39,10 +39,11 @@ from elective import (
     verify_solved,
 )
 from elective import oracle
-from elective.expr import _plan, _postorder
+from elective.expr import _plan
 from elective.oracle import MAX_ORACLE_WORK
 from helpers import (
     XYZW,
+    _postorder,
     assignments,
     naive_first_failure,
     naive_classes,
@@ -582,8 +583,6 @@ def test_verify_work_stays_within_its_plan(monkeypatch, text, basis):
     # the universe bound from 1 on and the point budget of a pass, and the
     # work run is exactly that, short only where both kinds of failure are
     # found before the last pass
-    from elective.expr import _postorder
-
     eq = parse_equation(text)
     nodes = sum(1 for side in (eq.lhs, eq.rhs) for _ in _postorder(side))
     widths = _recorded_widths(monkeypatch)

@@ -24,8 +24,7 @@ from elective import (
     parse_equation,
     parse_expression,
 )
-from elective.expr import _postorder
-from helpers import XYZW, random_expr, run_elective
+from helpers import XYZW, _postorder, random_expr, run_elective
 
 x, y, z, w = XYZW
 X, Y, Z, W = Sym(x), Sym(y), Sym(z), Sym(w)
