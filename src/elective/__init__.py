@@ -7,7 +7,17 @@ symbols are eliminated through the classical residual; and everything is
 checkable against an exhaustive finite-set oracle.  A small companion
 module provides the modern {0,1} operations and reports exactly where
 the original + and - leave them.
+
+Layers run on first use.  Importing the package runs errors, expr,
+algebra and parsing, which every command uses.  inference, oracle,
+modern and nyaya are in sys.modules from the import on, as lazy modules
+that run when one of their attributes is first read; the package
+resolves their names on demand (PEP 562), so __all__, dir() and
+`from elective import X` are as if every layer were imported.
 """
+
+import importlib.util
+import sys
 
 from .errors import (
     ElectiveError,
@@ -57,31 +67,63 @@ from .algebra import (
     format_linear_form,
 )
 from .parsing import parse_equation, parse_expression
-from .inference import (
-    EliminationResult,
-    SolvedClass,
-    combine_premises,
-    eliminate,
-    solve_for,
-    syllogism,
-)
-from .oracle import (
-    Counterexample,
-    MAX_UNIVERSE,
-    SetAssignment,
-    Universe,
-    VerificationReport,
-    check_equation,
-    verify_solved,
-)
-from .modern import DivergenceReport, analyze, b_and, b_not, b_or
-from .nyaya import (
-    KotiRegion,
-    ThreeVal,
-    catuskoti_classify,
-    negate3,
-    negation_table,
-)
+
+# The deferred layers and the names each one exports.
+_LAZY = {
+    "inference": (
+        "EliminationResult",
+        "SolvedClass",
+        "combine_premises",
+        "eliminate",
+        "solve_for",
+        "syllogism",
+    ),
+    "oracle": (
+        "Counterexample",
+        "MAX_UNIVERSE",
+        "SetAssignment",
+        "Universe",
+        "VerificationReport",
+        "check_equation",
+        "verify_solved",
+    ),
+    "modern": ("DivergenceReport", "analyze", "b_and", "b_not", "b_or"),
+    "nyaya": (
+        "KotiRegion",
+        "ThreeVal",
+        "catuskoti_classify",
+        "negate3",
+        "negation_table",
+    ),
+}
+
+
+def _deferred(layer: str):
+    """elective.<layer>, put in sys.modules now and run on the first read of
+    any of its attributes (importlib.util.LazyLoader)."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+inference, oracle, modern, nyaya = map(_deferred, _LAZY)
+_OWNER = {name: globals()[layer] for layer, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    # PEP 562; not kept in the package's namespace, so a name read here is
+    # always the object its layer holds now
+    if name in _OWNER:
+        return getattr(_OWNER[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER})
+
 
 __version__ = "0.1.0"
 

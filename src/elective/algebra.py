@@ -63,6 +63,14 @@ from .expr import (
 
 MAX_SYMBOLS = 20
 
+# Node evaluations that one development may plan: the distinct nodes of
+# the tree x the 2**n vertices of its n symbols; a plan above it is
+# refused before any list of 2**n values is made.  Measured on a 2-vCPU
+# x86-64 host, a node takes about 31 ms at the 20-symbol cap, so an
+# accepted plan runs for at most about 10 s: 320 distinct nodes at 20
+# symbols, 10 240 at 15.
+MAX_DEVELOP_WORK = 320 << 20
+
 
 @dataclass(frozen=True)
 class Indeterminate:
@@ -417,7 +425,9 @@ def expand(e: Expr, syms=None) -> LinearForm:
     all 2**n vertices at once, and equal coefficients are one object.
     Evaluation failures (extended values feeding further arithmetic) are
     aggregated: the error's message names the first offending constituent
-    and how many others fail, and its .constituents lists them all.
+    and how many others fail, and its .constituents lists them all.  A
+    plan of more than MAX_DEVELOP_WORK node evaluations (distinct subtrees
+    x 2**n) is refused with SymbolLimitExceeded before any is made.
     """
     return _develop(_plan(e), syms)
 
@@ -434,6 +444,13 @@ def _develop(plan: _Plan, syms=None) -> LinearForm:
             f"but not in {[s.name for s in order]}"
         )
     width = 1 << len(order)
+    work = len(plan.nodes) * width
+    if work > MAX_DEVELOP_WORK:
+        raise SymbolLimitExceeded(
+            f"development of {len(plan.nodes):,} distinct nodes over "
+            f"{len(order)} symbols needs {work:,} node evaluations, above the "
+            f"budget of {MAX_DEVELOP_WORK:,}"
+        )
 
     def column(s: Symbol) -> Callable[[], list]:
         run = 1 << bits[s]

@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
+from . import inference, modern, nyaya, oracle
 from .algebra import (
     Coeff,
     Indeterminate,
@@ -36,10 +37,6 @@ from .algebra import (
 )
 from .errors import ElectiveError, ParseError
 from .expr import format_expr, symbols
-from .inference import SolvedClass, eliminate, solve_for, syllogism
-from .nyaya import negation_table
-from .modern import analyze
-from .oracle import Universe, check_equation, plan_verification, verify_solved
 from .parsing import parse_equation, parse_expression
 
 @dataclass
@@ -87,7 +84,7 @@ def cmd_expand(args) -> OutputDocument:
     return OutputDocument(chain(_term_lines(form), [verdict]))
 
 
-def _solution_payload(sol: SolvedClass) -> dict:
+def _solution_payload(sol: inference.SolvedClass) -> dict:
     included, side_conditions, excluded = sol.display_groups()
     return {
         "unknown": sol.unknown.name,
@@ -103,14 +100,14 @@ def _solution_payload(sol: SolvedClass) -> dict:
 
 
 def cmd_solve(args) -> OutputDocument:
-    Universe(args.max_universe)  # a bound out of range is refused before parsing
+    oracle.Universe(args.max_universe)  # a bound out of range is refused before parsing
     if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
         raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
     if args.verify:  # an over-budget check is refused before solving
-        plan_verification(eq, args.unknown, args.symbols, args.max_universe)
-    sol = solve_for(eq, args.unknown, args.symbols)
-    report = verify_solved(sol, eq, args.max_universe) if args.verify else None
+        oracle.plan_verification(eq, args.unknown, args.symbols, args.max_universe)
+    sol = inference.solve_for(eq, args.unknown, args.symbols)
+    report = oracle.verify_solved(sol, eq, args.max_universe) if args.verify else None
     exit_code = 3 if report and not report.ok else 0
     if args.json:
         payload = {"command": "solve", "equation": str(eq), **_solution_payload(sol)}
@@ -151,7 +148,7 @@ def _elimination_output(args, command: str, result, extra: dict) -> OutputDocume
 
 def cmd_eliminate(args) -> OutputDocument:
     eq = parse_equation(args.equation)
-    result = eliminate(eq, args.drop)
+    result = inference.eliminate(eq, args.drop)
     return _elimination_output(
         args, "eliminate", result, {"equation": str(eq), "dropped": [args.drop]}
     )
@@ -160,12 +157,12 @@ def cmd_eliminate(args) -> OutputDocument:
 def cmd_syllogism(args) -> OutputDocument:
     premises = [parse_equation(p) for p in args.premise]
     drops = symbols(args.drop)
-    result = syllogism(premises, drops, args.conclude_for)
+    result = inference.syllogism(premises, drops, args.conclude_for)
     extra = {
         "premises": [str(p) for p in premises],
         "dropped": [s.name for s in drops],
     }
-    if not isinstance(result, SolvedClass):
+    if not isinstance(result, inference.SolvedClass):
         return _elimination_output(args, "syllogism", result, extra)
     if not args.json:
         return OutputDocument([result.describe()])
@@ -199,7 +196,7 @@ def cmd_partition(args) -> OutputDocument:
 
 def cmd_compare(args) -> OutputDocument:
     e = parse_expression(args.expression)
-    report = analyze(e, args.symbols)
+    report = modern.analyze(e, args.symbols)
     offending = report.offending_items()
     if args.json:
         entries = _term_entries(offending)
@@ -218,7 +215,7 @@ def cmd_compare(args) -> OutputDocument:
 
 
 def cmd_nyaya(args) -> OutputDocument:
-    rows = negation_table()
+    rows = nyaya.negation_table()
     if args.json:
         table = [{"w": str(a), "not_w": str(b)} for a, b in rows]
         return OutputDocument({"command": "nyaya", "table": table})
@@ -226,13 +223,13 @@ def cmd_nyaya(args) -> OutputDocument:
 
 
 def cmd_check(args) -> OutputDocument:
-    Universe(args.max_universe)  # a bound out of range is refused before parsing
+    oracle.Universe(args.max_universe)  # a bound out of range is refused before parsing
     eq = parse_equation(args.equation)
     form = expand(eq.homogeneous(), args.symbols)
     identity = form.is_zero()
     zeros = [t for t, v in form.display_items() if v == 0]
 
-    model = check_equation(eq, form.symbols, args.max_universe)
+    model = oracle.check_equation(eq, form.symbols, args.max_universe)
     counterexample = None  # the first model on which the equation fails
     if model is not None:
         counterexample = f"universe size {model.universe.size}" + (

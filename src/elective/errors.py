@@ -12,7 +12,8 @@ class InvalidSymbolList(ElectiveError):
 
 
 class SymbolLimitExceeded(ElectiveError):
-    """More than MAX_SYMBOLS symbols were requested (2**n constituents)."""
+    """More than MAX_SYMBOLS symbols were requested (2**n constituents), or
+    a development planned more work than MAX_DEVELOP_WORK."""
 
 
 class SymbolListMismatch(ElectiveError):

@@ -46,11 +46,11 @@ from functools import reduce
 from math import comb, lcm
 from typing import Mapping
 
+from . import inference
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded
 from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Symbol
 from .expr import _Plan, _equation, _fold, _plan, symbols
-from .inference import SolvedClass
 
 MAX_UNIVERSE = 8
 
@@ -309,7 +309,7 @@ class VerificationReport:
 
 
 def verify_solved(
-    sol: SolvedClass, eq: Equation, max_universe: int = 4
+    sol: inference.SolvedClass, eq: Equation, max_universe: int = 4
 ) -> VerificationReport:
     """Exhaustively check a solved class against its source equation.
 
@@ -335,6 +335,8 @@ def verify_solved(
     before completeness, with the smaller failing candidate as witness.
     The report counts the models of each size that the verdict covers.
     """
+    if not isinstance(sol, inference.SolvedClass):  # read on use: runs inference
+        raise TypeError(f"expected a SolvedClass, not {sol!r}")
     plan, syms = _plan(Sub(_equation(eq).lhs, eq.rhs)), sol.free_symbols
     points = _points(plan, (sol.unknown, *syms), max_universe)
     extras = [s for s in plan.symbols if s != sol.unknown and s not in syms]

@@ -32,14 +32,19 @@ from elective import (
     UninterpretableNesting,
     ZERO,
     coeff_factor_text,
+    combine_premises,
     constituents,
+    eliminate,
     eval_at,
     expand,
     format_expr,
     format_linear_form,
+    parse_equation,
     parse_expression,
     solve_for,
+    syllogism,
 )
+from elective.expr import _plan
 from helpers import (
     XYZW,
     Nested,
@@ -229,6 +234,76 @@ def test_expand_failure_message_stays_short_at_16_symbols(quotient, failing):
         f"development failed at {bad[0]} and {failing - 1} other constituents: "
     )
     assert len(str(info.value)) < 300
+
+
+# ---------------------------------------------------------------------------
+# development work budget
+# ---------------------------------------------------------------------------
+
+
+def _random_sum(terms: int, n: int, seed: int) -> str:
+    """A sum of random products of 3 literals over s0..s(n-1)."""
+    rng = random.Random(seed)
+    return " + ".join(
+        "*".join(f"s{i}" + "'" * rng.randint(0, 1) for i in rng.sample(range(n), 3))
+        for _ in range(terms)
+    )
+
+
+def test_development_budget_counts_distinct_nodes_at_every_vertex(monkeypatch):
+    # x, y, y', x*y' and the sum: 5 distinct nodes, at 4 vertices over x, y
+    # and at 8 over x, y, z
+    e, twice = parse_expression("x*y' + x*y'"), expand(parse_expression("2*x*y'"))
+    monkeypatch.setattr(algebra, "MAX_DEVELOP_WORK", 20)
+    assert expand(e) == twice
+    with pytest.raises(SymbolLimitExceeded) as info:
+        expand(e, "x,y,z")
+    assert str(info.value) == (
+        "development of 5 distinct nodes over 3 symbols needs 40 node "
+        "evaluations, above the budget of 20"
+    )
+    monkeypatch.setattr(algebra, "MAX_DEVELOP_WORK", 19)
+    with pytest.raises(SymbolLimitExceeded, match="needs 20 node evaluations"):
+        expand(e)
+
+
+def test_development_over_budget_is_refused_before_any_vertex(monkeypatch):
+    # 200 random terms over 20 symbols: 631 distinct nodes at 2**20
+    # vertices, about 20 s to develop, refused from the plan alone by each
+    # function that develops
+    def evaluate(*args):
+        raise AssertionError("evaluated a plan over budget")
+
+    monkeypatch.setattr(algebra, "_evaluate", evaluate)
+    e = parse_expression(_random_sum(200, 20, 7))
+    eq = Equation(e, ZERO)
+    work = f"{len(_plan(e).nodes) * (1 << 20):,} node evaluations"
+    with pytest.raises(SymbolLimitExceeded, match=work):
+        expand(e)
+    for call in (
+        lambda: solve_for(eq, "s0"),
+        lambda: eliminate(eq, "s0"),
+        lambda: syllogism([eq, eq], "s1"),
+    ):
+        with pytest.raises(SymbolLimitExceeded, match="node evaluations, above"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "equations",
+    [
+        # the ring expand and compare, n = 20
+        [" + ".join(f"s{i}*s{(i + 1) % 20}'" for i in range(20)) + " = 0"],
+        # the README's 20-symbol solve
+        [" + ".join(f"s{i}*s{(i + 1) % 19}'" for i in range(19)) + " = w*s0"],
+        # the dense-ring syllogism, n = 20
+        [f"s{i}*s{(i + 1) % 20}' = 0" for i in range(20)],
+    ],
+    ids=["ring", "solve", "dense-ring-syllogism"],
+)
+def test_the_20_symbol_examples_are_within_the_development_budget(equations):
+    eq = combine_premises([parse_equation(t) for t in equations])
+    assert len(_plan(eq.lhs).nodes) << 20 <= algebra.MAX_DEVELOP_WORK
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,9 @@ def test_oracle_work_budget_is_refused_before_solving(capsys, monkeypatch, symbo
     # the oracle's count, from the equation and the symbols alone, refuses
     # the plan before solve_for develops anything at 20 symbols
     entered = []
-    monkeypatch.setattr(cli, "solve_for", lambda *args: entered.append(args))
+    monkeypatch.setattr(
+        "elective.inference.solve_for", lambda *args: entered.append(args)
+    )
     text = "x*w = " + "*".join(f"s{i}" for i in range(1, 19))
     argv = ["solve", text, "--for", "w", "--verify", "--max-universe", "8"]
     code, out, err = invoke(capsys, *argv, *(["--symbols", symbols] if symbols else []))
@@ -704,7 +706,7 @@ def test_failed_verification_is_reported_with_exit_3(capsys, monkeypatch):
     x, y, _, w = XYZW
     failure = Counterexample("sound", 1, ((x, 1), (y, 0)), w, 1, "planted")
     report = VerificationReport(sound=False, complete=True, counterexample=failure)
-    monkeypatch.setattr(cli, "verify_solved", lambda sol, eq, m: report)
+    monkeypatch.setattr("elective.oracle.verify_solved", lambda sol, eq, m: report)
     code, out, err = invoke(capsys, "solve", "x*w = y", "--for", "w", "--verify")
     assert (code, err) == (3, "")
     assert out.splitlines()[1] == (

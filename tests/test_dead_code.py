@@ -3,10 +3,11 @@ syntax trees.
 
 Every imported name is used by the module that imports it, every
 module-level private name is used somewhere in the package, every error
-type is constructed outside errors.py, the package's __init__ imports
-exactly what its __all__ exports, no module but expr tells a name from a
-Symbol or walks a plan, no module but inference reads a solution's
-groups, and no function calls itself, directly or through others.
+type is constructed outside errors.py, the package's __init__ imports or
+defers exactly what its __all__ exports, no module but expr tells a name
+from a Symbol or walks a plan, no module but inference reads a
+solution's groups, and no function calls itself, directly or through
+others.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ def _read(tree: ast.Module) -> set[str]:
     return out
 
 
-def _exported(tree: ast.Module) -> list[str]:
+def _literal(tree: ast.Module, name: str):
+    """The literal value a module assigns to name at its top level."""
     (value,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]
     ]
     return ast.literal_eval(value)
 
@@ -85,11 +87,21 @@ def test_every_private_name_is_used_in_the_package():
 
 
 def test_the_package_imports_exactly_its_exports():
+    # the eager layers' names are imported, the deferred layers' names are
+    # listed in the lazy table; together they are __all__, each name once
     tree = TREES["__init__"]
-    exported = _exported(tree)
+    exported = _literal(tree, "__all__")
+    eager = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+    lazy = [name for names in _literal(tree, "_LAZY").values() for name in names]
     assert len(exported) == len(set(exported))
-    assert _imported(tree) == set(exported)
-    assert set(exported) <= set(vars(elective))
+    assert sorted(eager + lazy) == sorted(exported)
+    assert set(eager) <= set(vars(elective))
+    assert set(lazy) <= set(dir(elective))
 
 
 def test_every_error_type_is_raised_in_the_package():
@@ -160,7 +172,8 @@ def _call_graph() -> dict[str, set[str]]:
     """Each function of the package, by qualified name, and the package
     functions it calls: a bare name bound to a function nested in an
     enclosing one, defined in its module or imported from another module,
-    and self.name in a method, for a method of the same class.  A call on
+    layer.name for a module imported whole (`from . import layer`), and
+    self.name in a method, for a method of the same class.  A call on
     anything else, super() included, is not followed."""
     top = {
         module: {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
@@ -169,10 +182,13 @@ def _call_graph() -> dict[str, set[str]]:
     graph: dict[str, set[str]] = {}
     for module, tree in TREES.items():
         bound = {name: f"{module}.{name}" for name in top[module]}
+        layers = {}  # each module imported whole, by the name bound to it
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
-                    if a.name in top.get(node.module, ()):
+                    if node.module is None:
+                        layers[a.asname or a.name] = a.name
+                    elif a.name in top.get(node.module, ()):
                         bound[a.asname or a.name] = f"{node.module}.{a.name}"
         # (node, its qualified name, the names it sees, its class's methods)
         todo = [(node, f"{module}.", bound, None) for node in tree.body]
@@ -208,6 +224,12 @@ def _call_graph() -> dict[str, set[str]]:
                 f = call.func
                 if isinstance(f, ast.Name) and f.id in sees:
                     calls.add(sees[f.id])
+                elif (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.attr in top.get(layers.get(f.value.id), ())
+                ):
+                    calls.add(f"{layers[f.value.id]}.{f.attr}")
                 elif (
                     methods is not None
                     and isinstance(f, ast.Attribute)

@@ -134,6 +134,13 @@ def test_sym_reads_a_name_and_keeps_a_symbol():
         Sym("X")
 
 
+@pytest.mark.parametrize("value", ["x", None, 3, Sym("x"), ("w", "x")])
+def test_verify_solved_refuses_anything_but_a_solution_by_name(value):
+    refused = re.escape(f"expected a SolvedClass, not {value!r}")
+    with pytest.raises(TypeError, match=refused):
+        verify_solved(value, parse_equation("x*w = y"))
+
+
 @pytest.mark.parametrize("value", ["x = y", None, 3, Sym("x"), ("x", "y")])
 def test_functions_that_read_equations_refuse_anything_else_by_name(value):
     eq = parse_equation("x*w = y")

@@ -663,19 +663,29 @@ def test_only_a_reported_model_becomes_a_set_assignment(monkeypatch):
 
 def test_oracle_takes_only_data_types_from_algebra_and_inference():
     # the oracle stays independent of the development it checks: the only
-    # names it may take from algebra and inference are the types it reads
+    # names it may take from algebra and inference are the types it reads,
+    # by name or as attributes of a layer it imports whole
     from pathlib import Path
 
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    read: dict[str, set[str]] = {}  # the attributes read from each bare name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.setdefault(node.value.id, set()).add(node.attr)
     taken = {}
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "elective" for a in node.names)
         elif isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").split(".")[0] == "elective"
         ):
             module = node.module if node.level else node.module.partition(".")[2]
-            assert module, "import a submodule by name, not the package"
-            taken.setdefault(module, set()).update(a.name for a in node.names)
+            for a in node.names:
+                if module:
+                    taken.setdefault(module, set()).add(a.name)
+                else:  # a layer imported whole gives what is read from it
+                    layer = a.asname or a.name
+                    taken.setdefault(a.name, set()).update(read.get(layer, ()))
     assert set(taken) <= {"errors", "expr", "algebra", "inference"}
     assert taken.get("algebra", set()) | taken.get("inference", set()) <= {
         "Constituent",
