@@ -24,6 +24,7 @@ from .errors import (
     EmptyPremises,
     InvalidFlags,
     InvalidSymbolList,
+    MAX_UNIVERSE,
     NameCollision,
     NotInterpretable,
     ParseError,
@@ -80,7 +81,6 @@ _LAZY = {
     ),
     "oracle": (
         "Counterexample",
-        "MAX_UNIVERSE",
         "SetAssignment",
         "Universe",
         "VerificationReport",

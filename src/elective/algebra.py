@@ -14,17 +14,19 @@ taken once at all 2**n vertices together, so the index law (x**n = x),
 distributivity and commutativity hold by construction.
 
 Coefficients are exact rationals (fractions.Fraction).  Inside the pass
-values stay ints wherever they are integral, exact quotients included;
-only a non-integral quotient or a fractional constant brings in a
-Fraction.  By the development theorem every coefficient is a value of
-the expression at a vertex, and a form over 2**n constituents takes few
-distinct values, so `expand` makes one shared Fraction per distinct
-value.  Every coefficientwise operation between forms then runs once
-per distinct object, or pair of objects (_distinct and _pointwise).
-Developing a quotient can additionally produce the two extended
-values 0/0 (Indeterminate) and k/0 (Infinite, one per distinct k in a
-pass); both are terminal: they may sit in a developed form but never
-feed further arithmetic.
+a node's values are int numerators, one per vertex, over one positive
+denominator per node, which is 1 on a tree without quotients or
+fractional constants; failures are kept as a set of failed vertices and
+an ordered list of the extended operands that failed them.  By the
+development theorem every coefficient is a value of the expression at a
+vertex, and a form over 2**n constituents takes few distinct values, so
+`expand` makes one shared Fraction per distinct numerator.  Every
+coefficientwise operation between forms then runs once per distinct
+object, or pair of objects (_distinct and _pointwise).  Developing a
+quotient can additionally produce the two extended values 0/0
+(Indeterminate) and k/0 (Infinite, one per distinct k in a form); both
+are terminal: they may sit in a developed form but never feed further
+arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, partialmethod
 from itertools import compress, count, repeat
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -151,7 +154,12 @@ class Constituent:
 def constituents(syms) -> tuple[Constituent, ...]:
     """All 2**n constituents over an ordered symbol list, ascending mask."""
     order = check_symbol_list(syms)
-    return tuple(Constituent(order, m) for m in range(1 << len(order)))
+    return _constituents_at(order, range(1 << len(order)))
+
+
+def _constituents_at(order: tuple[Symbol, ...], masks) -> tuple[Constituent, ...]:
+    """The constituents over order with the given masks, in their order."""
+    return tuple(map(partial(Constituent, order), masks))
 
 
 def _layout(n: int) -> Iterator[int]:
@@ -223,10 +231,10 @@ def eval_at(e: Expr, vertex: Mapping[Symbol, int]) -> Coeff:
             raise ValueError(f"vertex assigns {vertex[s]!r} to symbol {s}, not 0 or 1")
         return [int(vertex[s])].copy
 
-    values, extended, failed = _evaluate(_plan(e), 1, column)
+    values, den, extended, failed, events = _evaluate(_plan(e), 1, column)
     if failed:
-        _require_finite(*failed[0])
-    return extended[0] if extended else Fraction(values[0])
+        _require_finite(*_failure(0, events))
+    return extended[1][0] if extended else Fraction(values[0], den)
 
 
 # The context in which an extended left (and right) operand fails.
@@ -240,50 +248,92 @@ _CONTEXTS = {
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _evaluate(plan: _Plan, width: int, column) -> tuple[list, dict, dict]:
-    """The root's values, extended values and failures of a planned tree at
-    `width` points, by expr._fold; column(s), called where s first occurs,
-    makes symbol s's values at each use.  A node's value pairs an int (where
-    integral) or Fraction per point, 0 where extended (a leaf's list made at
-    each use), with its extended values by point, one object per distinct
-    value.  An extended operand fails its point, keeping its first failure
-    as (value, context); once every point has failed, nothing more runs."""
-    failed: dict[int, tuple[Coeff, str]] = {}
-    specials: dict = {0: INDETERMINATE}  # x/0 by numerator x
+def _evaluate(plan: _Plan, width: int, column) -> tuple:
+    """(values, den, extended, failed, events) of a planned tree at `width`
+    points, by expr._fold; column(s), called where s first occurs, makes
+    symbol s's values at each use.
+
+    A node's value is a list of int numerators, one per point (a leaf's
+    made at each use), over one positive denominator, which a node above 1
+    divides with its numerators by their gcd, and its extended values:
+    () or, for a quotient, the ascending points where its denominator is 0
+    and the value x/0 at each, one object per distinct x.  A quotient-free
+    tree keeps every denominator at 1.  The root's value is values (0
+    where extended) over den, and extended.  Failures are kept per node,
+    not per point: each extended operand adds its points to the set failed
+    and (its extended values, the context) to the list events, in order,
+    which only _failure reads; once every point has failed, nothing more
+    runs."""
+    failed: set[int] = set()
+    events: list[tuple[tuple, str]] = []
 
     def leaf(kind, a):
         if len(failed) == width:
             return None
-        return column(a) if kind is Sym else partial(operator.mul, [a], width), {}
+        if kind is Sym:
+            return column(a), 1, ()
+        return partial(operator.mul, [a.numerator], width), a.denominator, ()
 
     def inner(kind, x, y):
-        if len(failed) < width and (x[1] or y[1]):
-            for (_, extended), context in zip((x, y), _CONTEXTS[kind]):
-                for p, v in extended.items():
-                    failed.setdefault(p, (v, context))
+        if len(failed) < width and (x[2] or y[2]):
+            for (_, _, extended), context in zip((x, y), _CONTEXTS[kind]):
+                if extended:
+                    failed.update(extended[0])
+                    events.append((extended, context))
         if len(failed) == width:
             return None
         xs = x[0] if type(x[0]) is list else x[0]()
         ys = xs if y is x else y[0] if type(y[0]) is list else y[0]()
+        dx, dy = x[1], y[1]
         if kind is Compl:
-            return list(map(operator.sub, repeat(1), xs)), {}
-        if kind is not Quot:
-            return list(map(_ARITHMETIC[kind], xs, ys)), {}
-        zeros = [p for p, q in enumerate(ys) if not q]
-        for k in {xs[p] for p in zeros}.difference(specials):
-            specials[k] = Infinite(k)
-        values = [_quotient(p, q) if q else 0 for p, q in zip(xs, ys)]
-        return values, {p: specials[xs[p]] for p in zeros}
+            return list(map(operator.sub, repeat(dx), xs)), dx, ()
+        if dx == dy == 1 and kind is not Quot:  # ints: no denominator to keep
+            return list(map(_ARITHMETIC[kind], xs, ys)), 1, ()
+        extended = ()
+        if kind is Mul:
+            values, den = list(map(operator.mul, xs, ys)), dx * dy
+        elif kind is Quot:
+            values, den, extended = _divided(xs, dx, ys, dy)
+        else:
+            den = lcm(dx, dy)
+            xs = map(operator.mul, xs, repeat(den // dx))
+            ys = map(operator.mul, ys, repeat(den // dy))
+            values = list(map(_ARITHMETIC[kind], xs, ys))
+        if den > 1:
+            g = gcd(den, *set(values))
+            if g > 1:
+                values, den = list(map(operator.floordiv, values, repeat(g))), den // g
+        return values, den, extended
 
-    values, extended = _fold(plan, leaf, inner) or ([], {})
-    return values if type(values) is list else values(), extended, failed
+    values, den, extended = _fold(plan, leaf, inner) or ([], 1, ())
+    return values if type(values) is list else values(), den, extended, failed, events
 
 
-def _quotient(x, y):
-    """x / y for y != 0: an int when both are ints and y divides x."""
-    if type(x) is int and type(y) is int and not x % y:
-        return x // y
-    return Fraction(x, y)
+def _divided(xs: list, dx: int, ys: list, dy: int) -> tuple:
+    """(xs/dx) / (ys/dy) at each point: numerators over dx times the lcm L
+    of the distinct nonzero ys, each x scaled through one table of dy*L/y
+    by y (skipped where it maps each y to itself), and 0 where y is 0,
+    whose extended value x/0 is made once per distinct x."""
+    qs = set(ys)
+    common = lcm(*qs.difference((0,)))
+    scale = {q: q and dy * common // q for q in qs}
+    same = all(q == s for q, s in scale.items())
+    values = list(map(operator.mul, xs, ys if same else map(scale.__getitem__, ys)))
+    if 0 not in qs:
+        return values, dx * common, ()
+    zeros = [p for p, q in enumerate(ys) if not q]
+    tops = [xs[p] for p in zeros]
+    named = {k: Infinite(Fraction(k, dx)) if k else INDETERMINATE for k in set(tops)}
+    return values, dx * common, (zeros, list(map(named.__getitem__, tops)))
+
+
+def _failure(point: int, events: list) -> tuple[Coeff, str]:
+    """The extended value and context of the first failure at a point."""
+    return next(
+        (coeffs[points.index(point)], context)
+        for (points, coeffs), context in events
+        if point in points
+    )
 
 
 def _is_class_coeff(v: Coeff) -> bool:
@@ -456,17 +506,17 @@ def _develop(plan: _Plan, syms=None) -> LinearForm:
         run = 1 << bits[s]
         return lambda: ([0] * run + [1] * run) * (width // (2 * run))
 
-    values, extended, failed = _evaluate(plan, width, column)
+    values, den, extended, failed, events = _evaluate(plan, width, column)
     if failed:
-        bad = tuple(Constituent(order, m) for m in sorted(failed))
+        masks = sorted(failed)
+        where = _where(Constituent(order, masks[0]), len(masks) - 1)
         raise UninterpretableNesting(
-            f"development failed at {_where(bad[0], len(bad) - 1)}: "
-            f"{_terminal(*failed[bad[0].mask])}",
-            constituents=bad,
+            f"development failed at {where}: {_terminal(*_failure(masks[0], events))}",
+            constituents=partial(_constituents_at, order, masks),
         )
-    fractions = {v: Fraction(v) for v in set(values)}
+    fractions = {v: Fraction(v, den) for v in set(values)}
     coeffs = list(map(fractions.__getitem__, values))
-    for m, x in extended.items():
+    for m, x in zip(*extended):
         coeffs[m] = x
     return LinearForm(order, tuple(coeffs))
 

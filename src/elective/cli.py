@@ -35,7 +35,7 @@ from .algebra import (
     coeff_factor_text,
     expand,
 )
-from .errors import ElectiveError, ParseError
+from .errors import ElectiveError, ParseError, check_universe
 from .expr import format_expr, symbols
 from .parsing import parse_equation, parse_expression
 
@@ -100,7 +100,7 @@ def _solution_payload(sol: inference.SolvedClass) -> dict:
 
 
 def cmd_solve(args) -> OutputDocument:
-    oracle.Universe(args.max_universe)  # a bound out of range is refused before parsing
+    check_universe(args.max_universe)  # refused before parsing, the oracle not run
     if args.verify and args.max_universe == 0:  # universes 1..0: none to verify on
         raise ValueError("--verify needs a --max-universe of at least 1")
     eq = parse_equation(args.equation)
@@ -223,7 +223,7 @@ def cmd_nyaya(args) -> OutputDocument:
 
 
 def cmd_check(args) -> OutputDocument:
-    oracle.Universe(args.max_universe)  # a bound out of range is refused before parsing
+    check_universe(args.max_universe)  # refused before parsing, the oracle not run
     eq = parse_equation(args.equation)
     form = expand(eq.homogeneous(), args.symbols)
     identity = form.is_zero()

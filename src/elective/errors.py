@@ -1,6 +1,11 @@
-"""Exception types raised by the elective-algebra package."""
+"""Exception types raised by the elective-algebra package, and the
+universe bound of the oracle, which the command line checks before any
+layer runs."""
 
 from __future__ import annotations
+
+# The largest universe the oracle's exhaustive checks decide.
+MAX_UNIVERSE = 8
 
 
 class ElectiveError(Exception):
@@ -29,11 +34,25 @@ class UninterpretableNesting(ElectiveError):
 
     Extended coefficients are terminal: they may appear as developed
     coefficients but are never legal operands of +, -, * or /.
+
+    .constituents is the tuple of constituents where a development failed,
+    in ascending mask order.  The constructor takes them as an iterable,
+    or as a callable that makes the tuple: a development passes one that
+    holds its basis and the sorted masks (picklable), so the constituents
+    are built on the first read, once, and only if they are read.
     """
 
-    def __init__(self, message: str, constituents: tuple = ()):
+    def __init__(self, message: str, constituents=()):
         super().__init__(message)
-        self.constituents = tuple(constituents)
+        self._constituents = (
+            constituents if callable(constituents) else tuple(constituents)
+        )
+
+    @property
+    def constituents(self) -> tuple:
+        if callable(self._constituents):
+            self._constituents = self._constituents()
+        return self._constituents
 
 
 class NameCollision(ElectiveError):
@@ -49,7 +68,17 @@ class QuotientInOracle(ElectiveError):
 
 
 class UniverseLimitExceeded(ElectiveError):
-    """Exhaustive verification is capped at universes of size 8."""
+    """Exhaustive verification is capped at universes of size MAX_UNIVERSE."""
+
+
+def check_universe(size: int) -> None:
+    """Refuse a universe size below 0 (ValueError) or above MAX_UNIVERSE."""
+    if size < 0:
+        raise ValueError(f"universe size {size} is negative")
+    if size > MAX_UNIVERSE:
+        raise UniverseLimitExceeded(
+            f"universe size {size} exceeds the exhaustive cap of {MAX_UNIVERSE}"
+        )
 
 
 class NotInterpretable(ElectiveError):

@@ -48,11 +48,9 @@ from typing import Mapping
 
 from . import inference
 from .errors import QuotientInOracle, SymbolNotPresent
-from .errors import UniverseLimitExceeded
+from .errors import UniverseLimitExceeded, check_universe
 from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Symbol
 from .expr import _Plan, _equation, _fold, _plan, symbols
-
-MAX_UNIVERSE = 8
 
 # Node evaluations that one exhaustive check may plan: points (the 2**k
 # types of its k symbols, an unknown among them) x the distinct nodes of
@@ -75,13 +73,7 @@ class Universe:
     size: int
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"universe size {self.size} is negative")
-        if self.size > MAX_UNIVERSE:
-            raise UniverseLimitExceeded(
-                f"universe size {self.size} exceeds the exhaustive cap "
-                f"of {MAX_UNIVERSE}"
-            )
+        check_universe(self.size)
 
     @property
     def full(self) -> int:
