@@ -16,17 +16,19 @@ distributivity and commutativity hold by construction.
 Coefficients are exact rationals (fractions.Fraction).  Inside the pass
 a node's values are int numerators, one per vertex, over one positive
 denominator per node, which is 1 on a tree without quotients or
-fractional constants; failures are kept as a set of failed vertices and
-an ordered list of the extended operands that failed them.  By the
-development theorem every coefficient is a value of the expression at a
-vertex, and a form over 2**n constituents takes few distinct values, so
-`expand` makes one shared Fraction per distinct numerator.  Every
-coefficientwise operation between forms then runs once per distinct
-object, or pair of objects (_distinct and _pointwise).  Developing a
-quotient can additionally produce the two extended values 0/0
-(Indeterminate) and k/0 (Infinite, one per distinct k in a form); both
-are terminal: they may sit in a developed form but never feed further
-arithmetic.
+fractional constants.  A quotient whose denominator takes so many
+distinct values that their lcm would make every numerator long holds a
+Fraction per vertex instead, as does each node above it.  Failures are
+kept as a set of failed vertices and an ordered list of the extended
+operands that failed them.  By the development theorem every coefficient
+is a value of the expression at a vertex, and a form over 2**n
+constituents takes few distinct values, so `expand` makes one shared
+Fraction per distinct numerator.  Every coefficientwise operation
+between forms then runs once per distinct object, or pair of objects
+(_distinct and _pointwise).  Developing a quotient can additionally
+produce the two extended values 0/0 (Indeterminate) and k/0 (Infinite,
+one per distinct k in a form); both are terminal: they may sit in a
+developed form but never feed further arithmetic.
 """
 
 from __future__ import annotations
@@ -69,9 +71,12 @@ MAX_SYMBOLS = 20
 # Node evaluations that one development may plan: the distinct nodes of
 # the tree x the 2**n vertices of its n symbols; a plan above it is
 # refused before any list of 2**n values is made.  Measured on a 2-vCPU
-# x86-64 host, a node takes about 31 ms at the 20-symbol cap, so an
-# accepted plan runs for at most about 10 s: 320 distinct nodes at 20
-# symbols, 10 240 at 15.
+# x86-64 host, a node of int numerators takes about 31 ms at the 20-symbol
+# cap, so a plan of them runs for at most about 10 s: 320 distinct nodes
+# at 20 symbols, 10 240 at 15.  A node held per value (_per_value), which
+# only a quotient by a denominator of many distinct values and the nodes
+# above it make, takes about 2 s at the cap, and the budget does not
+# charge it more.
 MAX_DEVELOP_WORK = 320 << 20
 
 
@@ -255,15 +260,15 @@ def _evaluate(plan: _Plan, width: int, column) -> tuple:
 
     A node's value is a list of int numerators, one per point (a leaf's
     made at each use), over one positive denominator, which a node above 1
-    divides with its numerators by their gcd, and its extended values:
-    () or, for a quotient, the ascending points where its denominator is 0
-    and the value x/0 at each, one object per distinct x.  A quotient-free
-    tree keeps every denominator at 1.  The root's value is values (0
-    where extended) over den, and extended.  Failures are kept per node,
-    not per point: each extended operand adds its points to the set failed
-    and (its extended values, the context) to the list events, in order,
-    which only _failure reads; once every point has failed, nothing more
-    runs."""
+    divides with its numerators by their gcd, or a Fraction per point over
+    None (_per_value); and its extended values: () or, for a quotient,
+    the ascending points where its denominator is 0 and the value x/0 at
+    each, one object per distinct x.  A quotient-free tree keeps every
+    denominator at 1.  The root's value is values (0 where extended) over
+    den, and extended.  Failures are kept per node, not per point: each
+    extended operand adds its points to the set failed and (its extended
+    values, the context) to the list events, in order, which only
+    _failure reads; once every point has failed, nothing more runs."""
     failed: set[int] = set()
     events: list[tuple[tuple, str]] = []
 
@@ -285,25 +290,20 @@ def _evaluate(plan: _Plan, width: int, column) -> tuple:
         xs = x[0] if type(x[0]) is list else x[0]()
         ys = xs if y is x else y[0] if type(y[0]) is list else y[0]()
         dx, dy = x[1], y[1]
+        if dx is None or dy is None:  # a side held per value
+            return _per_value(kind, xs, dx, ys, dy)
         if kind is Compl:
             return list(map(operator.sub, repeat(dx), xs)), dx, ()
         if dx == dy == 1 and kind is not Quot:  # ints: no denominator to keep
             return list(map(_ARITHMETIC[kind], xs, ys)), 1, ()
-        extended = ()
+        if kind is Quot:
+            return _divided(xs, dx, ys, dy)
         if kind is Mul:
-            values, den = list(map(operator.mul, xs, ys)), dx * dy
-        elif kind is Quot:
-            values, den, extended = _divided(xs, dx, ys, dy)
-        else:
-            den = lcm(dx, dy)
-            xs = map(operator.mul, xs, repeat(den // dx))
-            ys = map(operator.mul, ys, repeat(den // dy))
-            values = list(map(_ARITHMETIC[kind], xs, ys))
-        if den > 1:
-            g = gcd(den, *set(values))
-            if g > 1:
-                values, den = list(map(operator.floordiv, values, repeat(g))), den // g
-        return values, den, extended
+            return (*_reduced(list(map(operator.mul, xs, ys)), dx * dy), ())
+        den = lcm(dx, dy)
+        xs = map(operator.mul, xs, repeat(den // dx))
+        ys = map(operator.mul, ys, repeat(den // dy))
+        return (*_reduced(list(map(_ARITHMETIC[kind], xs, ys)), den), ())
 
     values, den, extended = _fold(plan, leaf, inner) or ([], 1, ())
     return values if type(values) is list else values(), den, extended, failed, events
@@ -312,19 +312,83 @@ def _evaluate(plan: _Plan, width: int, column) -> tuple:
 def _divided(xs: list, dx: int, ys: list, dy: int) -> tuple:
     """(xs/dx) / (ys/dy) at each point: numerators over dx times the lcm L
     of the distinct nonzero ys, each x scaled through one table of dy*L/y
-    by y (skipped where it maps each y to itself), and 0 where y is 0,
-    whose extended value x/0 is made once per distinct x."""
+    by y, and 0 where y is 0, whose extended value x/0 is made once per
+    distinct x.  Where L would be long (_shared), the quotient is held
+    per value instead."""
     qs = set(ys)
-    common = lcm(*qs.difference((0,)))
+    common = _shared(qs.difference((0,)))
+    if common is None:
+        return _per_value(Quot, xs, dx, ys, dy)
     scale = {q: q and dy * common // q for q in qs}
-    same = all(q == s for q, s in scale.items())
-    values = list(map(operator.mul, xs, ys if same else map(scale.__getitem__, ys)))
-    if 0 not in qs:
-        return values, dx * common, ()
+    values = list(map(operator.mul, xs, map(scale.__getitem__, ys)))
+    extended = _zeros(xs, dx, ys) if 0 in qs else ()
+    return (*_reduced(values, dx * common), extended)
+
+
+def _reduced(values: list, den: int) -> tuple[list, int]:
+    """values over den, both divided by their gcd where den exceeds 1."""
+    if den > 1:
+        g = gcd(den, *set(values))
+        if g > 1:
+            return list(map(operator.floordiv, values, repeat(g))), den // g
+    return values, den
+
+
+# Bits by which a quotient's one denominator may exceed the longest value
+# its denominator takes.  The lcm of n distinct values can reach about
+# n * 1.44 bits (values 1..n), which every numerator of the node and of
+# each node above it would carry; a quotient past the margin is held per
+# value instead, as are the nodes above it.
+_SHARED_BITS = 64
+
+
+def _shared(qs: set) -> int | None:
+    """The lcm of the nonzero ints qs (1 if there are none), or None once
+    it is more than _SHARED_BITS bits longer than the longest of them."""
+    bound = max((q.bit_length() for q in qs), default=0) + _SHARED_BITS
+    common = 1
+    for q in qs:
+        common = lcm(common, q)
+        if common.bit_length() > bound:
+            return None
+    return common
+
+
+def _zeros(xs: list, dx: int, ys: list) -> tuple:
+    """The extended values of a quotient of xs over dx by ys: the ascending
+    points where ys is 0, and x/0 at each, one object per distinct x."""
     zeros = [p for p, q in enumerate(ys) if not q]
     tops = [xs[p] for p in zeros]
     named = {k: Infinite(Fraction(k, dx)) if k else INDETERMINATE for k in set(tops)}
-    return values, dx * common, (zeros, list(map(named.__getitem__, tops)))
+    return zeros, list(map(named.__getitem__, tops))
+
+
+def _per_value(kind, xs: list, dx, ys: list, dy) -> tuple:
+    """The node held per value: a Fraction per point, and None for its
+    denominator.  Where a side is held per value, the other is read as
+    Fractions and both as over 1; a quotient is 0 where it is extended."""
+    if dx is None or dy is None:
+        xs = xs if dx is None else _fractions(xs, dx)
+        ys = xs if kind is Compl else ys if dy is None else _fractions(ys, dy)
+        dx = dy = 1
+    if kind is Quot:
+        zero = Fraction(0)
+        values = [Fraction(p * dy, q * dx) if q else zero for p, q in zip(xs, ys)]
+        return values, None, () if all(ys) else _zeros(xs, dx, ys)
+    if kind is Compl:
+        return list(map(operator.sub, repeat(1), xs)), None, ()
+    return list(map(_ARITHMETIC[kind], xs, ys)), None, ()
+
+
+def _fractions(values: list, den) -> list:
+    """values over den as Fractions, one object per distinct value; values
+    held per value (den None) are Fractions already, and equal ones are
+    made one object."""
+    if den is None:
+        equal: dict = {}
+        return [equal.setdefault((v.numerator, v.denominator), v) for v in values]
+    fractions = {v: Fraction(v, den) for v in set(values)}
+    return list(map(fractions.__getitem__, values))
 
 
 def _failure(point: int, events: list) -> tuple[Coeff, str]:
@@ -514,8 +578,7 @@ def _develop(plan: _Plan, syms=None) -> LinearForm:
             f"development failed at {where}: {_terminal(*_failure(masks[0], events))}",
             constituents=partial(_constituents_at, order, masks),
         )
-    fractions = {v: Fraction(v, den) for v in set(values)}
-    coeffs = list(map(fractions.__getitem__, values))
+    coeffs = _fractions(values, den)
     for m, x in zip(*extended):
         coeffs[m] = x
     return LinearForm(order, tuple(coeffs))

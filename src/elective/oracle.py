@@ -46,11 +46,14 @@ from functools import reduce
 from math import comb, lcm
 from typing import Mapping
 
-from . import inference
+from . import errors, inference
 from .errors import QuotientInOracle, SymbolNotPresent
 from .errors import UniverseLimitExceeded, check_universe
 from .expr import Add, Compl, Const, Equation, Mul, Quot, Sub, Symbol
 from .expr import _Plan, _equation, _fold, _plan, symbols
+
+# The largest universe a Universe takes; check_universe enforces it.
+MAX_UNIVERSE = errors.MAX_UNIVERSE
 
 # Node evaluations that one exhaustive check may plan: points (the 2**k
 # types of its k symbols, an unknown among them) x the distinct nodes of
